@@ -153,7 +153,28 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   obs::Emit(stats->trace(), obs::TraceEventType::kRecoveryPassBegin,
             static_cast<uint64_t>(pass_kind), scan_from, scan_to);
   uint64_t pass_records = 0;
-  const uint64_t redos_before = stats->recovery_redos;
+
+  // Repeats history for one state record: applies it now (page-LSN checked)
+  // or, when collecting, queues it for the redo plan under `page`, the
+  // physical page or a table record's redo bucket. The pass counts what it
+  // applies itself: a sharded engine's Stats cells aggregate every shard.
+  const auto repeat_history = [&](const LogRecord& rec,
+                                  PageId page) -> Status {
+    if (rec.lsn < redo_from) return Status::OK();
+    if (collect_redo) {
+      result.redo_plan.push_back(RedoItem{rec, page});
+    } else if (do_redo) {
+      ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
+      bool applied = false;
+      ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
+          pool, rec, /*check_page_lsn=*/true, &applied, heap));
+      if (applied) {
+        ++stats->recovery_redos;
+        ++result.records_redone;
+      }
+    }
+    return Status::OK();
+  };
 
   for (Lsn lsn = scan_from; lsn <= scan_to; ++lsn) {
     ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(lsn));
@@ -166,15 +187,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
 
     switch (rec.type) {
       case LogRecordType::kUpdate: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(
-              ApplyRecordToPage(pool, rec, /*check_page_lsn=*/true, &applied));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(RedoItem{rec, PageOf(rec.object)});
-        }
+        ARIESRH_RETURN_IF_ERROR(repeat_history(rec, PageOf(rec.object)));
         if (analyze) {
           TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
           // A window update the snapshot already reflects must not re-adjust
@@ -190,15 +203,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
         break;
       }
       case LogRecordType::kClr: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(
-              ApplyRecordToPage(pool, rec, /*check_page_lsn=*/true, &applied));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(RedoItem{rec, PageOf(rec.object)});
-        }
+        ARIESRH_RETURN_IF_ERROR(repeat_history(rec, PageOf(rec.object)));
         if (analyze) {
           Touch(&result, rec.txn_id, lsn);
           result.compensated.insert(rec.compensated_lsn);
@@ -301,16 +306,8 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
       case LogRecordType::kTableInsert:
       case LogRecordType::kTableUpdate:
       case LogRecordType::kTableDelete: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, rec, /*check_page_lsn=*/true, &applied, heap));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(
-              RedoItem{rec, table::RedoBucketOf(rec.object)});
-        }
+        ARIESRH_RETURN_IF_ERROR(
+            repeat_history(rec, table::RedoBucketOf(rec.object)));
         if (analyze) {
           TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
           if (mode == DelegationMode::kRH && !reflected(rec.txn_id, lsn)) {
@@ -325,16 +322,8 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
         break;
       }
       case LogRecordType::kTableClr: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, rec, /*check_page_lsn=*/true, &applied, heap));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(
-              RedoItem{rec, table::RedoBucketOf(rec.object)});
-        }
+        ARIESRH_RETURN_IF_ERROR(
+            repeat_history(rec, table::RedoBucketOf(rec.object)));
         if (analyze) {
           Touch(&result, rec.txn_id, lsn);
           result.compensated.insert(rec.compensated_lsn);
@@ -355,8 +344,39 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   result.records_scanned = pass_records;
   obs::Emit(stats->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(pass_kind), pass_records,
-            stats->recovery_redos - redos_before);
+            result.records_redone);
   return result;
+}
+
+InDoubtVerdicts ResolveInDoubt(
+    ForwardPassResult* fwd, const coord::Resolution* resolution,
+    const std::function<void(TxnId txn, TxnAnalysis& info)>& on_commit) {
+  InDoubtVerdicts verdicts;
+  for (auto& [txn, info] : fwd->txns) {
+    if (!info.InDoubt()) continue;
+    if (resolution == nullptr || !resolution->IsCommitted(info.prepared_csn)) {
+      ++verdicts.aborted;
+      continue;
+    }
+    on_commit(txn, info);
+    info.committed = true;
+    info.ob_list.clear();
+    ++verdicts.committed;
+  }
+  return verdicts;
+}
+
+std::vector<ScopeUndoTarget> LoserScopeTargets(const ForwardPassResult& fwd) {
+  std::vector<ScopeUndoTarget> targets;
+  for (const auto& [txn, info] : fwd.txns) {
+    if (!info.IsLoser()) continue;
+    for (const auto& [ob, entry] : info.ob_list) {
+      for (const Scope& scope : entry.scopes) {
+        targets.push_back(ScopeUndoTarget{txn, ob, scope});
+      }
+    }
+  }
+  return targets;
 }
 
 }  // namespace ariesrh

@@ -12,6 +12,7 @@
 #ifndef ARIESRH_RECOVERY_ANALYSIS_H_
 #define ARIESRH_RECOVERY_ANALYSIS_H_
 
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +21,7 @@
 #include "core/options.h"
 #include "recovery/checkpoint.h"
 #include "recovery/redo.h"
+#include "recovery/undo_rh.h"
 #include "storage/buffer_pool.h"
 #include "table/table_heap.h"
 #include "txn/scope.h"
@@ -59,6 +61,9 @@ struct ForwardPassResult {
   Lsn scan_end = 0;
   /// Records examined by this sweep (for the recovery Outcome).
   uint64_t records_scanned = 0;
+  /// Records this sweep applied (redo-bearing kinds), counted by the pass
+  /// itself: a sharded engine's Stats cells aggregate every shard.
+  uint64_t records_redone = 0;
   /// Redo work discovered but not applied (kAnalysisCollectRedo only), in
   /// increasing LSN order — the input to PartitionedRedo.
   std::vector<RedoItem> redo_plan;
@@ -156,6 +161,30 @@ inline Result<ForwardPassResult> ForwardPass(
   opts.heap = heap;
   return ForwardPass(mode, log, pool, stats, ckpt, ckpt_end_lsn, opts);
 }
+
+/// How ResolveInDoubt settled the in-doubt transactions.
+struct InDoubtVerdicts {
+  uint64_t committed = 0;  ///< the coordinator's COMMIT was durable
+  uint64_t aborted = 0;    ///< presumed abort
+};
+
+/// The presumed-abort rule for in-doubt (prepared) transactions, applied
+/// after analysis and before any undo. One whose csn `resolution` committed
+/// becomes a winner: `on_commit` runs first, with its Ob_List still intact
+/// (restart appends the interrupted COMMIT record there), then the
+/// transaction is marked committed and its Ob_List drops so no undo targets
+/// it. Every other prepared transaction stays a loser, exactly as with no
+/// coordinator verdict at all (`resolution` nullptr). Restart (full and
+/// instant) and reenactment all resolve here.
+InDoubtVerdicts ResolveInDoubt(
+    ForwardPassResult* fwd, const coord::Resolution* resolution,
+    const std::function<void(TxnId txn, TxnAnalysis& info)>& on_commit);
+
+/// Every scope in a loser's Ob_List as an undo target the loser answers
+/// for: the input of the cluster sweep (ScopeSweepUndo) at restart and in
+/// reenactment. Unordered — the sweep and PartitionUndoClusters order
+/// their input themselves.
+std::vector<ScopeUndoTarget> LoserScopeTargets(const ForwardPassResult& fwd);
 
 }  // namespace ariesrh
 

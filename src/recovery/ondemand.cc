@@ -302,39 +302,27 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
 
   // Resolve in-doubt (prepared) transactions before anything opens — same
   // rules as the blocking path (presumed abort without a verdict).
-  for (auto& [txn, info] : fwd_.txns) {
-    if (!info.InDoubt()) continue;
-    if (resolution != nullptr && resolution->IsCommitted(info.prepared_csn)) {
-      info.last_lsn = log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
-      info.committed = true;
-      info.ob_list.clear();
-      ++outcome_.in_doubt_committed;
-    } else {
-      ++outcome_.in_doubt_aborted;
-    }
-  }
+  const InDoubtVerdicts in_doubt =
+      ResolveInDoubt(&fwd_, resolution, [this](TxnId txn, TxnAnalysis& info) {
+        info.last_lsn = log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
+      });
+  outcome_.in_doubt_committed = in_doubt.committed;
+  outcome_.in_doubt_aborted = in_doubt.aborted;
 
   // Build the undo work: every loser scope, partitioned into independently
   // sweepable cluster groups (each loser lives in exactly one group).
-  std::unordered_map<TxnId, Lsn> bc_heads;
-  std::vector<ScopeUndoTarget> targets;
+  const std::vector<ScopeUndoTarget> targets = LoserScopeTargets(fwd_);
   std::unordered_set<TxnId> backgrounded;
-  for (auto& [txn, info] : fwd_.txns) {
-    if (!info.IsLoser()) continue;
-    bc_heads[txn] = info.last_lsn;
-    for (const auto& [ob, entry] : info.ob_list) {
-      for (const Scope& scope : entry.scopes) {
-        targets.push_back(ScopeUndoTarget{txn, ob, scope});
-        backgrounded.insert(txn);
-      }
-    }
+  for (const ScopeUndoTarget& target : targets) {
+    backgrounded.insert(target.responsible);
   }
   groups_ = PartitionUndoClusters(targets);
   outcome_.clusters_swept = groups_.size();
   group_heads_.assign(groups_.size(), {});
   for (size_t g = 0; g < groups_.size(); ++g) {
     for (const ScopeUndoTarget& target : groups_[g]) {
-      group_heads_[g][target.responsible] = bc_heads.at(target.responsible);
+      group_heads_[g][target.responsible] =
+          fwd_.txns.at(target.responsible).last_lsn;
     }
   }
 
@@ -348,7 +336,7 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
     } else if (!info.ended) {
       ++outcome_.losers;
       if (backgrounded.count(txn) == 0) {
-        log_->Append(LogRecord::MakeEnd(txn, bc_heads.at(txn)));
+        log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
       }
     }
   }
@@ -399,9 +387,11 @@ Status InstantRestart::RunBackgroundUndo() {
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo), kFirstLsn,
             fwd_.scan_end);
   const uint64_t examined_before = stats_->recovery_backward_examined;
-  const uint64_t skipped_before = stats_->recovery_backward_skipped;
-  const uint64_t undos_before = stats_->recovery_undos;
   const uint64_t undo_start = obs::MonotonicNanos();
+  // This shard's own counts: its Stats cells may aggregate shards
+  // restarting concurrently.
+  std::atomic<uint64_t> undone{0};
+  std::atomic<uint64_t> skipped{0};
 
   RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
   RecoveryFaultBudget* budget_ptr =
@@ -419,10 +409,11 @@ Status InstantRestart::RunBackgroundUndo() {
         for (const ScopeUndoTarget& target : groups_[g]) {
           group_from = std::max(group_from, target.scope.last);
         }
-        ARIESRH_RETURN_IF_ERROR(
-            ScopeSweepUndo(groups_[g], fwd_.compensated, group_from, log_,
-                           pool_, stats_, &group_heads_[g], budget_ptr,
-                           heap_));
+        ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(
+            groups_[g], fwd_.compensated, group_from, log_, stats_,
+            UndoUpdate(log_, pool_, stats_, &group_heads_[g], heap_,
+                       budget_ptr, &undone),
+            &skipped));
         // The group's losers are fully rolled back: END them and lift the
         // gate for every object the group covered.
         for (const auto& [txn, head] : group_heads_[g]) {
@@ -435,9 +426,8 @@ Status InstantRestart::RunBackgroundUndo() {
       });
 
   outcome_.undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome_.records_undone = stats_->recovery_undos - undos_before;
-  outcome_.records_skipped =
-      stats_->recovery_backward_skipped - skipped_before;
+  outcome_.records_undone = undone.load(std::memory_order_relaxed);
+  outcome_.records_skipped = skipped.load(std::memory_order_relaxed);
   if (obs::MetricsRegistry* registry = stats_->registry()) {
     registry->GetHistogram("ariesrh_recovery_undo_ns")
         ->Observe(outcome_.undo_ns);
@@ -445,7 +435,7 @@ Status InstantRestart::RunBackgroundUndo() {
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
             stats_->recovery_backward_examined - examined_before,
-            stats_->recovery_undos - undos_before);
+            outcome_.records_undone);
   return status;
 }
 

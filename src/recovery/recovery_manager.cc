@@ -1,6 +1,7 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "obs/clock.h"
@@ -149,7 +150,6 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     ARIESRH_RETURN_IF_ERROR(redo_status);
   } else if (options_.merged_forward_pass) {
     const uint64_t start = obs::MonotonicNanos();
-    const uint64_t redos_before = stats_->recovery_redos;
     ARIESRH_ASSIGN_OR_RETURN(
         fwd, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
                          ckpt_ptr, ckpt_end_lsn, ForwardPassKind::kMerged,
@@ -157,7 +157,7 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     outcome.analysis_ns = obs::MonotonicNanos() - start;
     outcome.merged_forward_pass = true;
     outcome.records_analyzed = fwd.records_scanned;
-    outcome.records_redone = stats_->recovery_redos - redos_before;
+    outcome.records_redone = fwd.records_redone;
     ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
   } else {
     const uint64_t analysis_start = obs::MonotonicNanos();
@@ -171,38 +171,27 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
 
     const uint64_t redo_start = obs::MonotonicNanos();
-    const uint64_t redos_before = stats_->recovery_redos;
-    ARIESRH_RETURN_IF_ERROR(
+    ARIESRH_ASSIGN_OR_RETURN(
+        ForwardPassResult redo,
         ForwardPass(options_.delegation_mode, log_, pool_, stats_, ckpt_ptr,
                     ckpt_end_lsn, ForwardPassKind::kRedoOnly, redo_budget_ptr,
-                    /*resolution=*/nullptr, heap_)
-            .status());
+                    /*resolution=*/nullptr, heap_));
     outcome.redo_ns = obs::MonotonicNanos() - redo_start;
-    outcome.records_redone = stats_->recovery_redos - redos_before;
+    outcome.records_redone = redo.records_redone;
     ObservePass(stats_, "ariesrh_recovery_redo_ns", outcome.redo_ns);
   }
 
-  // Resolve in-doubt (prepared) transactions before undo. A csn the
-  // coordinator committed makes the transaction a winner — append the
-  // COMMIT record its crash interrupted and drop its undo targets. Every
-  // other prepared transaction stays a loser: presumed abort, identical to
-  // having no coordinator verdict at all.
-  for (auto& [txn, info] : fwd.txns) {
-    if (!info.InDoubt()) continue;
-    if (resolution != nullptr && resolution->IsCommitted(info.prepared_csn)) {
-      info.last_lsn =
-          log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
-      info.committed = true;
-      info.ob_list.clear();
-      ++outcome.in_doubt_committed;
-    } else {
-      ++outcome.in_doubt_aborted;
-    }
-  }
+  // Resolve in-doubt (prepared) transactions before undo: a csn the
+  // coordinator committed gets the COMMIT record its crash interrupted.
+  const InDoubtVerdicts in_doubt =
+      ResolveInDoubt(&fwd, resolution, [this](TxnId txn, TxnAnalysis& info) {
+        info.last_lsn = log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
+      });
+  outcome.in_doubt_committed = in_doubt.committed;
+  outcome.in_doubt_aborted = in_doubt.aborted;
 
   // Backward pass: undo the loser updates.
-  std::vector<TxnId> resolved;
-  ARIESRH_RETURN_IF_ERROR(UndoLosers(fwd, &resolved, &outcome));
+  ARIESRH_RETURN_IF_ERROR(UndoLosers(fwd, &outcome));
 
   // Every resolved transaction gets an END record so a crash during a later
   // run does not reconsider it.
@@ -223,7 +212,6 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
 }
 
 Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
-                                   std::vector<TxnId>* resolved,
                                    Outcome* outcome) {
   ++stats_->recovery_passes;
 
@@ -236,8 +224,6 @@ Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
             kFirstLsn, fwd.scan_end);
   const uint64_t examined_before = stats_->recovery_backward_examined;
-  const uint64_t skipped_before = stats_->recovery_backward_skipped;
-  const uint64_t undos_before = stats_->recovery_undos;
   const uint64_t undo_start = obs::MonotonicNanos();
 
   // Test-only: simulate a crash in the middle of the undo pass. The budget
@@ -258,27 +244,25 @@ Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
     }
   }
   std::sort(losers.begin(), losers.end());
+  // The pass counts its own work: this shard's Stats cells may aggregate
+  // shards restarting concurrently.
+  std::atomic<uint64_t> undone{0};
+  std::atomic<uint64_t> skipped{0};
+  const auto undo_update = [&](std::unordered_map<TxnId, Lsn>* heads) {
+    return UndoUpdate(log_, pool_, stats_, heads, heap_, budget_ptr, &undone);
+  };
 
   Status undo_status = Status::OK();
   if (options_.delegation_mode == DelegationMode::kRH) {
     // Undo the *loser updates* — via loser scope clusters (Figure 8).
-    std::vector<ScopeUndoTarget> targets;
-    for (TxnId txn : losers) {
-      const TxnAnalysis& info = fwd.txns.at(txn);
-      for (const auto& [ob, entry] : info.ob_list) {
-        for (const Scope& scope : entry.scopes) {
-          targets.push_back(ScopeUndoTarget{txn, ob, scope});
-        }
-      }
-    }
+    const std::vector<ScopeUndoTarget> targets = LoserScopeTargets(fwd);
     if (options_.undo_strategy == UndoStrategy::kFullScan) {
       // Ablation baseline: inherently a single sequential scan of every
       // record — parallelizing it would defeat its purpose, so it always
       // runs serial.
       outcome->clusters_swept = targets.empty() ? 0 : 1;
-      undo_status =
-          FullScanUndo(targets, fwd.compensated, fwd.scan_end, log_, pool_,
-                       stats_, &bc_heads, budget_ptr, heap_);
+      undo_status = FullScanUndo(targets, fwd.compensated, fwd.scan_end, log_,
+                                 stats_, undo_update(&bc_heads));
     } else {
       const std::vector<std::vector<ScopeUndoTarget>> groups =
           PartitionUndoClusters(targets);
@@ -286,7 +270,7 @@ Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
       if (threads <= 1 || groups.size() <= 1) {
         undo_status =
             ScopeSweepUndo(targets, fwd.compensated, fwd.scan_end, log_,
-                           pool_, stats_, &bc_heads, budget_ptr, heap_);
+                           stats_, undo_update(&bc_heads), &skipped);
       } else {
         // Parallel undo: one sweep per independent cluster group. Each
         // responsible transaction lives in exactly one group (the partition
@@ -310,8 +294,8 @@ Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
                 group_from = std::max(group_from, target.scope.last);
               }
               return ScopeSweepUndo(groups[g], fwd.compensated, group_from,
-                                    log_, pool_, stats_, &group_heads[g],
-                                    budget_ptr, heap_);
+                                    log_, stats_, undo_update(&group_heads[g]),
+                                    &skipped);
             });
         // Merge updated chain heads back (even on failure: the CLRs that
         // were written are durable work the END records must reflect).
@@ -332,26 +316,24 @@ Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
       loser_heads[txn] = fwd.txns.at(txn).last_lsn;
     }
     outcome->clusters_swept = loser_heads.empty() ? 0 : 1;
-    undo_status = ChainUndo(loser_heads, log_, pool_, stats_, &bc_heads,
-                            budget_ptr, heap_);
+    undo_status =
+        ChainUndo(loser_heads, log_, stats_, undo_update(&bc_heads));
   }
 
   outcome->undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome->records_undone = stats_->recovery_undos - undos_before;
-  outcome->records_skipped =
-      stats_->recovery_backward_skipped - skipped_before;
+  outcome->records_undone = undone.load(std::memory_order_relaxed);
+  outcome->records_skipped = skipped.load(std::memory_order_relaxed);
   ObservePass(stats_, "ariesrh_recovery_undo_ns", outcome->undo_ns);
   ARIESRH_RETURN_IF_ERROR(undo_status);
 
   // Rollback complete: write END records.
   for (TxnId txn : losers) {
     log_->Append(LogRecord::MakeEnd(txn, bc_heads[txn]));
-    resolved->push_back(txn);
   }
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
             stats_->recovery_backward_examined - examined_before,
-            stats_->recovery_undos - undos_before);
+            outcome->records_undone);
   return Status::OK();
 }
 

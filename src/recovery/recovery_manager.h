@@ -97,8 +97,7 @@ class RecoveryManager {
                                       CheckpointData* out);
 
  private:
-  Status UndoLosers(const ForwardPassResult& fwd, std::vector<TxnId>* resolved,
-                    Outcome* outcome);
+  Status UndoLosers(const ForwardPassResult& fwd, Outcome* outcome);
 
   const Options& options_;
   SimulatedDisk* disk_;

@@ -41,52 +41,49 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
   });
 }
 
-Status UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
-                  const LogRecord& update_rec, TxnId responsible,
-                  std::unordered_map<TxnId, Lsn>* bc_heads,
-                  table::TableHeap* heap) {
-  if (IsTableWrite(update_rec.type)) {
-    if (heap == nullptr) {
-      return Status::IllegalState("table undo without a table heap");
-    }
-    auto table_head = bc_heads->find(responsible);
-    const Lsn table_prev =
-        table_head == bc_heads->end() ? kInvalidLsn : table_head->second;
-    // The compensating action: an insert is undone by removing the key,
-    // an update or delete by reinstating the before image.
-    const bool remove = update_rec.type == LogRecordType::kTableInsert;
-    LogRecord clr = LogRecord::MakeTableClr(
-        responsible, table_prev, update_rec.object, update_rec.key, remove,
-        update_rec.before_image,
-        /*compensated=*/update_rec.lsn, /*undo_next=*/update_rec.prev_lsn);
-    const Lsn clr_lsn = log->Append(clr);
-    (*bc_heads)[responsible] = clr_lsn;
-    clr.lsn = clr_lsn;
-    ARIESRH_RETURN_IF_ERROR(heap->ApplyLogical(clr));
-    ++stats->recovery_undos;
-    return Status::OK();
+LogRecord MakeCompensation(const LogRecord& update, TxnId responsible,
+                           Lsn prev) {
+  if (IsTableWrite(update.type)) {
+    return LogRecord::MakeTableClr(
+        responsible, prev, update.object, update.key,
+        /*remove=*/update.type == LogRecordType::kTableInsert,
+        update.before_image, /*compensated=*/update.lsn,
+        /*undo_next=*/update.prev_lsn);
   }
-  assert(update_rec.type == LogRecordType::kUpdate);
-  // The compensation carries the inverse action in its `after` field so it
-  // can be (re)applied through the same path as an update: a Set is undone
-  // by restoring the before image, an Add by the negated delta.
+  assert(update.type == LogRecordType::kUpdate);
   const int64_t restore =
-      update_rec.kind == UpdateKind::kSet ? update_rec.before
-                                          : -update_rec.after;
-  auto head = bc_heads->find(responsible);
-  const Lsn prev = head == bc_heads->end() ? kInvalidLsn : head->second;
-  LogRecord clr = LogRecord::MakeClr(
-      responsible, prev, update_rec.object, update_rec.kind,
-      /*restore_before=*/update_rec.after, /*restore_after=*/restore,
-      /*compensated=*/update_rec.lsn, /*undo_next=*/update_rec.prev_lsn);
-  const Lsn clr_lsn = log->Append(clr);
-  (*bc_heads)[responsible] = clr_lsn;
+      update.kind == UpdateKind::kSet ? update.before : -update.after;
+  return LogRecord::MakeClr(responsible, prev, update.object, update.kind,
+                            /*restore_before=*/update.after,
+                            /*restore_after=*/restore,
+                            /*compensated=*/update.lsn,
+                            /*undo_next=*/update.prev_lsn);
+}
 
-  clr.lsn = clr_lsn;
-  ARIESRH_RETURN_IF_ERROR(
-      ApplyRecordToPage(pool, clr, /*check_page_lsn=*/false));
-  ++stats->recovery_undos;
-  return Status::OK();
+CompensateFn UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
+                        std::unordered_map<TxnId, Lsn>* bc_heads,
+                        table::TableHeap* heap,
+                        RecoveryFaultBudget* undo_budget,
+                        std::atomic<uint64_t>* undone) {
+  return [=](const LogRecord& update, TxnId responsible) -> Status {
+    if (undo_budget != nullptr && !undo_budget->Spend()) {
+      // Model the crash point: whatever undo work was logged becomes
+      // durable up to here, then the system dies.
+      ARIESRH_RETURN_IF_ERROR(log->FlushAll());
+      return Status::IOError("injected crash during recovery undo");
+    }
+    auto head = bc_heads->find(responsible);
+    LogRecord clr = MakeCompensation(
+        update, responsible,
+        head == bc_heads->end() ? kInvalidLsn : head->second);
+    clr.lsn = log->Append(clr);
+    (*bc_heads)[responsible] = clr.lsn;
+    ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
+        pool, clr, /*check_page_lsn=*/false, /*applied=*/nullptr, heap));
+    ++stats->recovery_undos;
+    if (undone != nullptr) undone->fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
+  };
 }
 
 Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,

@@ -4,6 +4,8 @@
 #ifndef ARIESRH_RECOVERY_REDO_H_
 #define ARIESRH_RECOVERY_REDO_H_
 
+#include <atomic>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,16 +37,39 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
                          bool check_page_lsn, bool* applied = nullptr,
                          table::TableHeap* heap = nullptr);
 
-/// Undoes one update record on behalf of `responsible`: writes a CLR chained
-/// into `responsible`'s backward chain (tracked in `bc_heads`) and applies
-/// the compensation to the page — or, for a logical table write, writes a
-/// TBL_CLR carrying the compensating action (remove for an insert, restore
-/// the before image otherwise) and applies it to `heap`. Used by
-/// normal-processing abort and by both recovery undo algorithms.
-Status UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
-                  const LogRecord& update_rec, TxnId responsible,
-                  std::unordered_map<TxnId, Lsn>* bc_heads,
-                  table::TableHeap* heap = nullptr);
+/// Compensates one loser update on behalf of `responsible`, the transaction
+/// that answers for it. The backward passes (ScopeSweepUndo, ChainUndo,
+/// FullScanUndo) only choose which records to undo; this callback decides
+/// what undoing one means — logging a CLR (UndoUpdate) or, for
+/// reenactment, applying the inverse to scratch state.
+using CompensateFn =
+    std::function<Status(const LogRecord& update, TxnId responsible)>;
+
+/// Builds the compensation record for `update` on behalf of `responsible`,
+/// chained after `prev` on its backward chain. It carries the inverse so it
+/// replays through ApplyRecordToPage like any record: a CLR restores the
+/// before image of a Set or applies the negated delta of an Add; a TBL_CLR
+/// removes the key an insert created and restores the before image of any
+/// other table write. Pure: appends and applies nothing.
+LogRecord MakeCompensation(const LogRecord& update, TxnId responsible,
+                           Lsn prev);
+
+/// The compensation recovery, abort and savepoint rollback pass to the
+/// backward passes: each call appends MakeCompensation's record, chains it
+/// into the responsible transaction's backward chain (heads tracked in
+/// `bc_heads`), applies it to `pool` (or `heap`, for a table write), and
+/// counts it in `stats->recovery_undos`.
+/// `undo_budget` (optional, test-only) injects a crash: once it is exhausted
+/// the log is flushed and the call fails with IOError, modeling a failure
+/// in the middle of the undo pass. The budget is thread-safe, so concurrent
+/// sweeps draw from one crash point.
+/// `undone` (optional) also counts each compensation, for callers that need
+/// their own count: a sharded engine's Stats cells aggregate every shard.
+CompensateFn UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
+                        std::unordered_map<TxnId, Lsn>* bc_heads,
+                        table::TableHeap* heap = nullptr,
+                        RecoveryFaultBudget* undo_budget = nullptr,
+                        std::atomic<uint64_t>* undone = nullptr);
 
 /// One unit of redo work discovered by the forward scan: the parsed record
 /// and the page it touches. The scan emits items in increasing LSN order,

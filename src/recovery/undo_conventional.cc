@@ -3,20 +3,17 @@
 #include <queue>
 #include <vector>
 
-#include "recovery/redo.h"
-
 namespace ariesrh {
 
 Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
-                 LogManager* log, BufferPool* pool, Stats* stats,
-                 std::unordered_map<TxnId, Lsn>* bc_heads,
-                 RecoveryFaultBudget* undo_budget, table::TableHeap* heap) {
+                 const LogManager* log, Stats* stats,
+                 const CompensateFn& compensate, Lsn floor) {
   // Outstanding (next LSN to undo, owner); always process the maximum LSN
   // next so log accesses are monotonically decreasing.
   using Entry = std::pair<Lsn, TxnId>;
   std::priority_queue<Entry> todo;
   for (const auto& [txn, head] : loser_heads) {
-    if (head != kInvalidLsn) todo.emplace(head, txn);
+    if (head != kInvalidLsn && head > floor) todo.emplace(head, txn);
   }
 
   while (!todo.empty()) {
@@ -31,12 +28,7 @@ Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
       case LogRecordType::kTableInsert:
       case LogRecordType::kTableUpdate:
       case LogRecordType::kTableDelete:
-        if (undo_budget != nullptr && !undo_budget->Spend()) {
-          ARIESRH_RETURN_IF_ERROR(log->FlushAll());
-          return Status::IOError("injected crash during recovery undo");
-        }
-        ARIESRH_RETURN_IF_ERROR(
-            UndoUpdate(log, pool, stats, rec, txn, bc_heads, heap));
+        ARIESRH_RETURN_IF_ERROR(compensate(rec, txn));
         next = rec.prev_lsn;
         break;
       case LogRecordType::kClr:
@@ -54,7 +46,7 @@ Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
         next = rec.prev_lsn;
         break;
     }
-    if (next != kInvalidLsn) todo.emplace(next, txn);
+    if (next != kInvalidLsn && next > floor) todo.emplace(next, txn);
   }
   return Status::OK();
 }

@@ -3,18 +3,17 @@
 // maximum outstanding LSN across losers. CLR undo-next pointers make the
 // pass idempotent across crashes during recovery.
 //
-// Used when delegation is disabled, and by the eager / lazy-rewrite
-// baselines after history has been physically rewritten (the chains then
-// reflect responsibility, so chain undo is correct for them).
+// Used when delegation is disabled — abort, savepoint rollback, restart and
+// reenactment — and by the eager / lazy-rewrite baselines after history has
+// been physically rewritten (the chains then reflect responsibility, so
+// chain undo is correct for them).
 
 #ifndef ARIESRH_RECOVERY_UNDO_CONVENTIONAL_H_
 #define ARIESRH_RECOVERY_UNDO_CONVENTIONAL_H_
 
 #include <unordered_map>
 
-#include "recovery/parallel.h"
-#include "storage/buffer_pool.h"
-#include "table/table_heap.h"
+#include "recovery/redo.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -22,19 +21,16 @@
 
 namespace ariesrh {
 
-/// Undoes all updates on the backward chains headed by `loser_heads`
-/// (txn -> chain head LSN). Writes CLRs chained through `bc_heads` (in/out).
-/// DELEGATE records encountered on a chain are traversed through the side
-/// (tor/tee) belonging to the chain's owner.
-/// `undo_budget` (optional, test-only) injects a crash after that many
-/// undos, as in ScopeSweepUndo.
-/// `heap` (optional) receives the compensating actions for logical table
-/// records found on the chains.
+/// Walks the backward chains headed by `loser_heads` (txn -> chain head
+/// LSN), always at the maximum outstanding LSN, calling `compensate` for
+/// every update on them on behalf of the chain's owner. CLRs jump to their
+/// undo-next pointer; DELEGATE records encountered on a chain are traversed
+/// through the side (tor/tee) belonging to the chain's owner. Records at or
+/// below `floor` are left alone: a savepoint rollback passes the savepoint,
+/// a full rollback 0.
 Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
-                 LogManager* log, BufferPool* pool, Stats* stats,
-                 std::unordered_map<TxnId, Lsn>* bc_heads,
-                 RecoveryFaultBudget* undo_budget = nullptr,
-                 table::TableHeap* heap = nullptr);
+                 const LogManager* log, Stats* stats,
+                 const CompensateFn& compensate, Lsn floor = 0);
 
 }  // namespace ariesrh
 

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "obs/trace.h"
-#include "recovery/redo.h"
 
 namespace ariesrh {
 
@@ -22,26 +21,24 @@ struct ByRightEndDesc {
   }
 };
 
-// Spends one unit of the injected-fault budget before an undo; returns the
-// injected-crash error when exhausted.
-Status SpendUndoBudget(RecoveryFaultBudget* undo_budget, LogManager* log) {
-  if (undo_budget == nullptr || undo_budget->Spend()) return Status::OK();
-  // Model the crash point: whatever undo work was logged becomes durable
-  // up to here, then the system dies.
-  ARIESRH_RETURN_IF_ERROR(log->FlushAll());
-  return Status::IOError("injected crash during recovery undo");
-}
-
 }  // namespace
 
 Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
                       const std::unordered_set<Lsn>& compensated,
-                      Lsn sweep_from, LogManager* log, BufferPool* pool,
-                      Stats* stats,
-                      std::unordered_map<TxnId, Lsn>* bc_heads,
-                      RecoveryFaultBudget* undo_budget,
-                      table::TableHeap* heap) {
+                      Lsn sweep_from, const LogManager* log, Stats* stats,
+                      const CompensateFn& compensate,
+                      std::atomic<uint64_t>* skipped) {
   if (targets.empty()) return Status::OK();
+
+  // Credits `n` records the sweep jumps over, going from `from` down to
+  // `to`, as never read.
+  const auto skip = [&](Lsn from, Lsn to, uint64_t n) {
+    if (n == 0) return;
+    stats->recovery_backward_skipped += n;
+    if (skipped != nullptr) skipped->fetch_add(n, std::memory_order_relaxed);
+    obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, from, to,
+              n);
+  };
 
   // LsrScopes: constructed once, depleted in reverse scope order — a
   // priority queue sorted by scope right end, largest first (Section 3.6.2).
@@ -64,11 +61,7 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       cluster_starts(left_end_before);
 
   Lsn k = lsr_scopes.top().scope.last;
-  if (sweep_from > k) {
-    stats->recovery_backward_skipped += sweep_from - k;
-    obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip,
-              sweep_from, k, sweep_from - k);
-  }
+  if (sweep_from > k) skip(sweep_from, k, sweep_from - k);
 
   while (true) {
     // (alpha-1) Admit every loser scope whose right end is the current
@@ -92,9 +85,7 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
         const ScopeUndoTarget& target = it->second;
         if (target.object == rec.object &&
             target.scope.Covers(rec.txn_id, rec.lsn)) {
-          ARIESRH_RETURN_IF_ERROR(SpendUndoBudget(undo_budget, log));
-          ARIESRH_RETURN_IF_ERROR(UndoUpdate(
-              log, pool, stats, rec, target.responsible, bc_heads, heap));
+          ARIESRH_RETURN_IF_ERROR(compensate(rec, target.responsible));
           break;  // an update is covered by at most one scope
         }
       }
@@ -121,11 +112,7 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       if (lsr_scopes.empty()) break;
       const Lsn next = lsr_scopes.top().scope.last;
       assert(next < k && "sweep must be monotonically decreasing");
-      stats->recovery_backward_skipped += (k - next) - 1;
-      if (k - next > 1) {
-        obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, k,
-                  next, (k - next) - 1);
-      }
+      skip(k, next, (k - next) - 1);
       k = next;
     } else {
       assert(k > 0);
@@ -137,10 +124,8 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
 
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
-                    Lsn sweep_from, LogManager* log, BufferPool* pool,
-                    Stats* stats, std::unordered_map<TxnId, Lsn>* bc_heads,
-                    RecoveryFaultBudget* undo_budget,
-                    table::TableHeap* heap) {
+                    Lsn sweep_from, const LogManager* log, Stats* stats,
+                    const CompensateFn& compensate) {
   if (targets.empty()) return Status::OK();
 
   std::unordered_multimap<TxnId, const ScopeUndoTarget*> by_invoker;
@@ -163,10 +148,7 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
       const ScopeUndoTarget& target = *it->second;
       if (target.object == rec.object &&
           target.scope.Covers(rec.txn_id, rec.lsn)) {
-        ARIESRH_RETURN_IF_ERROR(SpendUndoBudget(undo_budget, log));
-        ARIESRH_RETURN_IF_ERROR(UndoUpdate(log, pool, stats, rec,
-                                           target.responsible, bc_heads,
-                                           heap));
+        ARIESRH_RETURN_IF_ERROR(compensate(rec, target.responsible));
         break;
       }
     }

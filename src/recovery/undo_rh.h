@@ -7,20 +7,26 @@
 // cluster each record is examined exactly once, in strictly decreasing LSN
 // order (the property that preserves ARIES's sequential-log efficiencies).
 //
-// The same routine implements normal-processing abort (the "cluster" is then
-// just the aborting transaction's own scopes) and the recovery undo pass
-// (clusters span every loser's scopes).
+// The sweep only chooses which records to undo; a CompensateFn (redo.h)
+// decides what undoing one means. It has four callers:
+//   * normal-processing abort (TxnManager::RollBack) — the "cluster" is just
+//     the aborting transaction's own scopes; CLRs via UndoUpdate;
+//   * savepoint rollback (TxnManager::RollbackTo) — those scopes clipped to
+//     the records past the savepoint; CLRs via UndoUpdate;
+//   * restart undo, full (RecoveryManager) and instant (InstantRestart's
+//     background cluster groups) — clusters span every loser's scopes;
+//     CLRs via UndoUpdate;
+//   * reenactment (reenact::Reenactor) — the losers open at a cut, undone
+//     in scratch components by applying each compensation, logging nothing.
 
 #ifndef ARIESRH_RECOVERY_UNDO_RH_H_
 #define ARIESRH_RECOVERY_UNDO_RH_H_
 
-#include <unordered_map>
+#include <atomic>
 #include <unordered_set>
 #include <vector>
 
-#include "recovery/parallel.h"
-#include "storage/buffer_pool.h"
-#include "table/table_heap.h"
+#include "recovery/redo.h"
 #include "txn/scope.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -37,43 +43,32 @@ struct ScopeUndoTarget {
   Scope scope;
 };
 
-/// Sweeps the log backwards undoing every update covered by `targets`,
-/// skipping records whose LSN appears in `compensated` (already undone
-/// before a crash — rebuilt by the forward pass from CLRs). CLRs are written
-/// on behalf of each scope's responsible transaction and chained through
-/// `bc_heads` (in/out: pass current chain heads, receive updated ones).
+/// Sweeps the log backwards calling `compensate` for every update covered
+/// by `targets`, on behalf of the covering scope's responsible transaction,
+/// in strictly decreasing LSN order. Records whose LSN appears in
+/// `compensated` (already undone before a crash — rebuilt by the forward
+/// pass from CLRs) are skipped.
 ///
 /// `sweep_from` is where the backward sweep conceptually starts (the end of
 /// the log during recovery); the gap down to the first cluster and the gaps
-/// between clusters are credited to `stats->recovery_backward_skipped`.
-///
-/// `undo_budget` (optional, test-only) injects a crash: when it is
-/// exhausted before an undo, the function flushes the log and fails with
-/// IOError, modeling a failure in the middle of the undo pass. The budget
-/// is shared (and thread-safe), so concurrent cluster sweeps draw from one
-/// global crash point.
-///
-/// `heap` (optional) is the table heap logical table writes compensate
-/// against; required only when the swept scopes can cover table records.
+/// between clusters are credited to `stats->recovery_backward_skipped` and,
+/// when given, to `*skipped` (the caller's own count; see UndoUpdate).
 Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
                       const std::unordered_set<Lsn>& compensated,
-                      Lsn sweep_from, LogManager* log, BufferPool* pool,
-                      Stats* stats,
-                      std::unordered_map<TxnId, Lsn>* bc_heads,
-                      RecoveryFaultBudget* undo_budget = nullptr,
-                      table::TableHeap* heap = nullptr);
+                      Lsn sweep_from, const LogManager* log, Stats* stats,
+                      const CompensateFn& compensate,
+                      std::atomic<uint64_t>* skipped = nullptr);
 
 /// Ablation baseline for the backward pass (Section 3.6.2's rejected
 /// alternative): scan EVERY record from `sweep_from` down to the oldest
-/// loser scope, matching each against the loser scopes. Produces the same
-/// CLRs in the same order as ScopeSweepUndo but examines every record in
-/// between, including all the winner updates the cluster sweep skips.
+/// loser scope, matching each against the loser scopes. Compensates the
+/// same records in the same order as ScopeSweepUndo but examines every
+/// record in between, including all the winner updates the cluster sweep
+/// skips.
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
-                    Lsn sweep_from, LogManager* log, BufferPool* pool,
-                    Stats* stats, std::unordered_map<TxnId, Lsn>* bc_heads,
-                    RecoveryFaultBudget* undo_budget = nullptr,
-                    table::TableHeap* heap = nullptr);
+                    Lsn sweep_from, const LogManager* log, Stats* stats,
+                    const CompensateFn& compensate);
 
 /// Partitions loser scopes into groups that can be undone concurrently,
 /// one ScopeSweepUndo per group. Two scopes land in the same group when any

@@ -9,6 +9,8 @@
 #include "core/engine_shard.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/redo.h"
+#include "recovery/undo_conventional.h"
+#include "recovery/undo_rh.h"
 #include "storage/page.h"
 #include "table/heap_page.h"
 #include "wal/log_record.h"
@@ -380,30 +382,27 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
 }
 
 Status Reenactor::UndoLosersAtCut(const ShardSource& src, ShardFold* fold) {
-  // Find how far back the loser rollback must reach. Under kRH a loser
-  // answers for every scope in its Ob_List (delegated-in updates included,
-  // possibly older than its own first record); under kDisabled there are no
-  // scopes and each loser's own chain bounds its work.
+  // The losers at the cut, as restart's backward pass would see them: under
+  // kRH every scope in a loser's Ob_List (delegated-in updates included,
+  // possibly older than its own first record); under kDisabled each loser's
+  // backward chain.
+  const bool rh = options_.delegation_mode == DelegationMode::kRH;
+  std::vector<ScopeUndoTarget> targets;
+  std::unordered_map<TxnId, Lsn> loser_heads;
   Lsn stop = kInvalidLsn;
-  bool any = false;
-  if (options_.delegation_mode == DelegationMode::kRH) {
-    for (const auto& [txn, info] : fold->fwd.txns) {
-      if (!info.IsLoser()) continue;
-      for (const auto& [ob, entry] : info.ob_list) {
-        for (const Scope& scope : entry.scopes) {
-          any = true;
-          stop = std::min(stop, scope.first);
-        }
-      }
+  if (rh) {
+    targets = LoserScopeTargets(fold->fwd);
+    for (const ScopeUndoTarget& target : targets) {
+      stop = std::min(stop, target.scope.first);
     }
   } else {
     for (const auto& [txn, info] : fold->fwd.txns) {
       if (!info.IsLoser() || info.first_lsn == kInvalidLsn) continue;
-      any = true;
+      loser_heads[txn] = info.last_lsn;
       stop = std::min(stop, info.first_lsn);
     }
   }
-  if (!any) return Status::OK();
+  if (stop == kInvalidLsn) return Status::OK();
   if (stop < src.first_retained) {
     return Status::OutOfRange(
         "rolling back transactions open at the cut needs LSN " +
@@ -411,60 +410,23 @@ Status Reenactor::UndoLosersAtCut(const ShardSource& src, ShardFold* fold) {
         std::to_string(src.first_retained));
   }
 
-  // Backward sweep applying inverses directly — no CLRs are logged; the
-  // source log is read-only by design. `stop >= kFirstLsn == 1`, so the
-  // unsigned decrement never wraps.
-  for (Lsn lsn = fold->cut; lsn >= stop; --lsn) {
-    if (fold->fwd.compensated.contains(lsn)) continue;
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, src.log->Read(lsn));
-    const bool plain = rec.type == LogRecordType::kUpdate;
-    const bool table_write = IsTableWrite(rec.type);
-    if (!plain && !table_write) continue;  // CLRs are never themselves undone
-
-    bool undo = false;
-    if (options_.delegation_mode == DelegationMode::kRH) {
-      // The update rolls back iff a loser's scope covers it — delegation
-      // may have moved it away from (or onto) its invoker.
-      for (const auto& [txn, info] : fold->fwd.txns) {
-        if (!info.IsLoser()) continue;
-        const auto* entry = info.ob_list.find(rec.object);
-        if (entry == info.ob_list.end()) continue;
-        for (const Scope& scope : entry->second.scopes) {
-          if (scope.Covers(rec.txn_id, lsn)) {
-            undo = true;
-            break;
-          }
-        }
-        if (undo) break;
-      }
-    } else {
-      auto it = fold->fwd.txns.find(rec.txn_id);
-      undo = it != fold->fwd.txns.end() && it->second.IsLoser();
-    }
-    if (!undo) continue;
-
-    if (plain) {
-      ARIESRH_RETURN_IF_ERROR(
-          fold->pool->WithPage(PageOf(rec.object), [&rec, lsn](Page* page) {
-            if (rec.kind == UpdateKind::kSet) {
-              page->Set(SlotOf(rec.object), rec.before);
-            } else {
-              page->Add(SlotOf(rec.object), -rec.after);
-            }
-            return lsn;  // marks the frame dirty so extraction flushes it
-          }));
-    } else {
-      // Synthesize the compensating action in memory only, and route it
-      // through the same logical-replay entry point recovery undo uses.
-      LogRecord clr = LogRecord::MakeTableClr(
-          rec.txn_id, kInvalidLsn, rec.object, rec.key,
-          /*remove=*/rec.type == LogRecordType::kTableInsert, rec.before_image,
-          /*compensated=*/lsn, kInvalidLsn);
-      clr.lsn = lsn;
-      ARIESRH_RETURN_IF_ERROR(fold->heap->ApplyLogical(clr));
-    }
+  // Restart's own backward pass, compensating in the scratch components:
+  // each compensation record is applied, never appended — the source log
+  // is read-only by design.
+  const CompensateFn apply = [fold](const LogRecord& update,
+                                    TxnId responsible) {
+    LogRecord clr = MakeCompensation(update, responsible, kInvalidLsn);
+    // Never appended, so it has no LSN of its own; the compensated update's
+    // marks the scratch frame dirty and orders the table key's replay.
+    clr.lsn = update.lsn;
+    return ApplyRecordToPage(fold->pool.get(), clr, /*check_page_lsn=*/false,
+                             /*applied=*/nullptr, fold->heap.get());
+  };
+  if (rh) {
+    return ScopeSweepUndo(targets, fold->fwd.compensated, fold->cut, src.log,
+                          fold->stats.get(), apply);
   }
-  return Status::OK();
+  return ChainUndo(loser_heads, src.log, fold->stats.get(), apply);
 }
 
 Status Reenactor::ExtractState(ShardFold* fold, StateImage* out) const {

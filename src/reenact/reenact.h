@@ -249,9 +249,11 @@ class Reenactor {
                               ObjectId track_ob = kInvalidObject,
                               const std::string* track_key = nullptr);
 
-  /// Rolls back every transaction uncommitted at the cut, in the scratch
-  /// components — applying inverses directly, logging nothing (the source
-  /// log is read-only here by design).
+  /// Rolls back every transaction uncommitted at the cut through restart's
+  /// own backward pass (ScopeSweepUndo under kRH, ChainUndo under
+  /// kDisabled), applying each compensation to the scratch components and
+  /// logging nothing. Fails with kOutOfRange when the rollback would need
+  /// records before the retained log head.
   Status UndoLosersAtCut(const ShardSource& src, ShardFold* fold);
 
   /// Flushes the fold's scratch components and merges the resulting pages

@@ -608,6 +608,8 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
   }
 
   std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
+  const CompensateFn undo_update =
+      UndoUpdate(log_, pool_, stats_, &bc_heads, heap_);
   const bool scope_undo =
       options_.delegation_mode == DelegationMode::kRH ||
       options_.delegation_mode == DelegationMode::kLazyRewrite;
@@ -626,9 +628,8 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
       }
     }
     ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
-                                           sweep_from, log_, pool_, stats_,
-                                           &bc_heads, /*undo_budget=*/nullptr,
-                                           heap_));
+                                           sweep_from, log_, stats_,
+                                           undo_update));
     // ...and the stored scopes shrink to what is still live.
     for (auto entry_it = tx->ob_list.begin();
          entry_it != tx->ob_list.end();) {
@@ -642,33 +643,11 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
                                 : std::next(entry_it);
     }
   } else {
-    // Conventional ARIES partial rollback: walk the backward chain,
-    // undoing until the savepoint is reached. CLR undo-next pointers keep
-    // this idempotent under repetition.
-    Lsn cur = tx->last_lsn;
-    while (cur != kInvalidLsn && cur > savepoint) {
-      ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log_->Read(cur));
-      switch (rec.type) {
-        case LogRecordType::kUpdate:
-        case LogRecordType::kTableInsert:
-        case LogRecordType::kTableUpdate:
-        case LogRecordType::kTableDelete:
-          ARIESRH_RETURN_IF_ERROR(
-              UndoUpdate(log_, pool_, stats_, rec, tx->id, &bc_heads, heap_));
-          cur = rec.prev_lsn;
-          break;
-        case LogRecordType::kClr:
-        case LogRecordType::kTableClr:
-          cur = rec.undo_next_lsn;
-          break;
-        case LogRecordType::kDelegate:
-          cur = (tx->id == rec.tor) ? rec.tor_bc : rec.tee_bc;
-          break;
-        default:
-          cur = rec.prev_lsn;
-          break;
-      }
-    }
+    // Conventional ARIES partial rollback: walk the backward chain down to
+    // the savepoint. CLR undo-next pointers keep this idempotent under
+    // repetition.
+    ARIESRH_RETURN_IF_ERROR(ChainUndo({{tx->id, tx->last_lsn}}, log_, stats_,
+                                      undo_update, /*floor=*/savepoint));
     // The plain Object List entries are left as-is in these modes: they are
     // a conservative superset used only as a delegation precondition, and
     // chain-based undo does not consult them.
@@ -1026,6 +1005,8 @@ Status TxnManager::ApplyCrossShardDelegation(
 
 Status TxnManager::RollBack(Transaction* tx) {
   std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
+  const CompensateFn undo_update =
+      UndoUpdate(log_, pool_, stats_, &bc_heads, heap_);
   // kRH and kLazyRewrite abort via the scope sweep; kDisabled has no scopes
   // and kEager keeps its chains physically correct, so both use chain undo.
   const bool scope_undo =
@@ -1043,16 +1024,14 @@ Status TxnManager::RollBack(Transaction* tx) {
         sweep_from = std::max(sweep_from, scope.last);
       }
     }
-    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(
-        targets, /*compensated=*/{}, sweep_from, log_, pool_, stats_,
-        &bc_heads, /*undo_budget=*/nullptr, heap_));
+    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
+                                           sweep_from, log_, stats_,
+                                           undo_update));
   } else {
     // Conventional ARIES rollback: walk the backward chain. (Eager-mode
     // chains are physically correct, so this also serves kEager.)
-    std::unordered_map<TxnId, Lsn> loser_heads = {{tx->id, tx->last_lsn}};
-    ARIESRH_RETURN_IF_ERROR(ChainUndo(loser_heads, log_, pool_, stats_,
-                                      &bc_heads, /*undo_budget=*/nullptr,
-                                      heap_));
+    ARIESRH_RETURN_IF_ERROR(
+        ChainUndo({{tx->id, tx->last_lsn}}, log_, stats_, undo_update));
   }
   tx->last_lsn = bc_heads[tx->id];
   return Status::OK();

@@ -375,6 +375,64 @@ TEST(ShardedDatabaseTest, ShardedSaveOpenRoundTrips) {
   std::remove((path + ".coord").c_str());
 }
 
+TEST(ShardedDatabaseTest, MergedRestartOutcomeCountsEachShardOnce) {
+  // Every shard's Stats fields feed the shared aggregate cell, and the
+  // shards restart concurrently — so a shard must count its own Outcome,
+  // not read it off that cell. The merged Outcome then equals the sum of
+  // the per-shard mirror cells, under both restart modes.
+  const std::string path =
+      ::testing::TempDir() + "/ariesrh_sharded_outcome.ariesrh";
+  Options four = ShardedOptions(4);
+  {
+    Database db(four);
+    for (ObjectId ob = 1; ob <= 64; ++ob) {  // redo work on every shard
+      TxnId t = *db.Begin();
+      ASSERT_TRUE(db.Set(t, ob, static_cast<int64_t>(ob)).ok());
+      ASSERT_TRUE(db.Commit(t).ok());
+    }
+    for (size_t s = 0; s < 4; ++s) {  // an open loser on every shard
+      TxnId loser = *db.Begin();
+      ObjectId ob = 0;
+      for (int i = 0; i < 6; ++i) {
+        ob = ObOnShard(db, s, ob + 1);
+        ASSERT_TRUE(db.Add(loser, ob, 5).ok());
+      }
+    }
+    ASSERT_TRUE(db.Sync().ok());
+    ASSERT_TRUE(db.SaveTo(path).ok());
+  }
+  auto shard_sum = [](Database& db, const std::string& field) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < db.num_shards(); ++i) {
+      obs::Counter* cell = db.metrics()->FindCounter(
+          "ariesrh_" + field + "_shard" + std::to_string(i));
+      EXPECT_NE(cell, nullptr) << field << " shard " << i;
+      if (cell != nullptr) sum += cell->Value();
+    }
+    return sum;
+  };
+  for (RecoveryMode mode : {RecoveryMode::kFull, RecoveryMode::kInstant}) {
+    SCOPED_TRACE(RecoveryModeName(mode));
+    Options options = four;
+    options.recovery_mode = mode;
+    Result<Database::OpenResult> opened = Database::Open(options, path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Result<RecoveryManager::Outcome> outcome = opened->recovery->Await();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    Database& db = *opened->db;
+    EXPECT_EQ(outcome->losers, 4u);
+    EXPECT_EQ(outcome->records_undone, 24u);
+    EXPECT_EQ(outcome->records_undone, shard_sum(db, "recovery_undos"));
+    EXPECT_EQ(outcome->records_skipped,
+              shard_sum(db, "recovery_backward_skipped"));
+    EXPECT_EQ(outcome->records_redone, shard_sum(db, "recovery_redos"));
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    std::remove(Database::ShardImagePath(path, i).c_str());
+  }
+  std::remove((path + ".coord").c_str());
+}
+
 TEST(ShardedDatabaseTest, PerShardMetricsCarryShardLabels) {
   Database db(ShardedOptions(2));
   const ObjectId a = ObOnShard(db, 0);
