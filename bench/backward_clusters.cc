@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "test_restart.h"
 
 namespace ariesrh::bench {
 namespace {
@@ -52,7 +53,7 @@ void BuildAndRecover(benchmark::State& state, Layout layout) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -106,7 +107,7 @@ void BM_Undo_OverlappingScopeCluster(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -141,7 +142,7 @@ void UndoStrategyAblation(benchmark::State& state, UndoStrategy strategy) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     examined = db.stats().Delta(before).recovery_backward_examined;

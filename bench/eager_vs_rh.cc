@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "test_restart.h"
 
 namespace ariesrh::bench {
 namespace {
@@ -76,7 +77,7 @@ void FullCycle(benchmark::State& state, DelegationMode mode) {
     params.delegation_pct = 30;
     RunWorkload(&db, params);
     db.SimulateCrash();
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
     rewrites = db.stats().log_rewrites;
     random_reads = db.stats().log_random_reads;
   }

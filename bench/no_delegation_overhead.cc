@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "test_restart.h"
 
 namespace ariesrh::bench {
 namespace {
@@ -53,7 +54,7 @@ void Recovery(benchmark::State& state, DelegationMode mode) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);

@@ -12,6 +12,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "test_restart.h"
 
 namespace ariesrh::bench {
 namespace {
@@ -34,7 +35,7 @@ void BM_RecoveryVsDelegationRate(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -83,7 +84,7 @@ void BM_RecoveryWithCheckpoint(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    CheckResult(RestartAndAwait(&db), "Recover");
 
     state.PauseTiming();
     fwd = db.stats().Delta(before).recovery_forward_records;

@@ -73,7 +73,10 @@ struct Torture {
     db.SimulateCrash();
     oracle.Crash();
     active.clear();
-    auto outcome = db.Recover();
+    auto restart = db.StartRecovery();
+    auto outcome = restart.ok()
+                       ? (*restart)->Await()
+                       : Result<RecoveryManager::Outcome>(restart.status());
     if (!outcome.ok()) {
       std::printf("RECOVERY FAILED: %s\n", outcome.status().ToString().c_str());
       return false;

@@ -70,7 +70,11 @@ int main() {
   std::printf("t2 committed; t1 still running... crash!\n");
 
   db.SimulateCrash();
-  auto outcome = db.Recover();
+  // Restart recovery; Await() returns its Outcome once every pass is done.
+  auto restart = db.StartRecovery();
+  auto outcome = restart.ok()
+                     ? (*restart)->Await()
+                     : Result<RecoveryManager::Outcome>(restart.status());
   if (!outcome.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  outcome.status().ToString().c_str());

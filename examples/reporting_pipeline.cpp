@@ -81,7 +81,7 @@ int main() {
 
   // Everything published/committed above survives a crash.
   db.SimulateCrash();
-  if (!db.Recover().ok()) return 1;
+  if (!db.StartRecovery().ok()) return 1;  // kFull: restart completes here
   const bool ok = *db.ReadCommitted(kRunningTotal) == 250 &&
                   *db.ReadCommitted(kLedger) == 21;
   std::printf("after crash+recovery: total=%lld ledger=%lld -> %s\n",

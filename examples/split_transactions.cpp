@@ -56,7 +56,7 @@ int main() {
   std::printf("session aborted\n");
 
   db.SimulateCrash();
-  if (!db.Recover().ok()) return 1;
+  if (!db.StartRecovery().ok()) return 1;  // kFull: restart completes here
 
   bool ok = true;
   for (ObjectId ob = 0; ob < 10; ++ob) {

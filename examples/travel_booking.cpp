@@ -96,7 +96,7 @@ int main() {
 
   // Prove durability: crash and recover.
   db.SimulateCrash();
-  if (!db.Recover().ok()) {
+  if (!db.StartRecovery().ok()) {  // kFull: restart completes here
     std::printf("recovery failed\n");
     return 1;
   }

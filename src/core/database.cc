@@ -44,21 +44,21 @@ size_t Database::ShardOf(ObjectId ob) const {
 Status Database::EnsureUsable() const {
   ARIESRH_RETURN_IF_ERROR(init_status_);
   if (crashed_) {
-    return Status::IllegalState("database crashed; call Recover() first");
+    return Status::IllegalState("database crashed; call StartRecovery() first");
   }
   if (active_recovery_ != nullptr && active_recovery_->failed()) {
     // The background half of an instant restart died: the shards are
     // half-recovered (some loser clusters never rolled back), which is the
     // same kind of torn volatile state a stopped cross-shard protocol
-    // leaves. Poison until SimulateCrash()+Recover().
+    // leaves. Poison until SimulateCrash()+StartRecovery().
     return Status::IllegalState(
         "instant restart failed in the background; call SimulateCrash() and "
-        "Recover()");
+        "StartRecovery()");
   }
   if (poisoned_) {
     return Status::IllegalState(
         "cross-shard protocol stopped mid-flight; call SimulateCrash() and "
-        "Recover()");
+        "StartRecovery()");
   }
   return Status::OK();
 }
@@ -350,7 +350,7 @@ Status Database::CrossShardDelegate(
   // every csn-stamped DELEGATE must be durable before the coordinator may
   // reach its commit point, or a committed csn could reference a lost leg.
   // From the first application on, any stop leaves volatile state
-  // half-transferred — poison until SimulateCrash()+Recover() (recovery
+  // half-transferred — poison until SimulateCrash()+StartRecovery() (recovery
   // voids the undecided csn on every shard, restoring atomicity).
   for (size_t i = 0; i < parts.size(); ++i) {
     const size_t s = parts[i];
@@ -696,7 +696,7 @@ Result<Database::OpenResult> Database::OpenFromBackup(
   ARIESRH_RETURN_IF_ERROR(db->init_status_);
   // The fresh engine "fails" immediately: restore applies to the crashed
   // state, exactly like the legacy SimulateMediaFailure + RestoreFromBackup
-  // + Recover sequence (which keeps working unchanged).
+  // + StartRecovery sequence (which keeps working unchanged).
   db->SimulateCrash();
   ARIESRH_RETURN_IF_ERROR(db->shards_[0]->RestoreFromBackup(backup));
   // The fresh log starts mid-stream, holding the backup checkpoint's replay
@@ -763,7 +763,7 @@ void Database::SimulateCrash() {
 Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
   ARIESRH_RETURN_IF_ERROR(init_status_);
   if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
+    return Status::IllegalState("StartRecovery() without a preceding crash");
   }
   // The restart clock starts here: the first successful Commit after the
   // open observes its distance from this point (the instant-restart figure
@@ -785,91 +785,64 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
   std::shared_ptr<RecoveryHandle> handle =
       RecoveryHandle::Pending(mode, shards_.size());
 
-  if (mode == RecoveryMode::kInstant) {
-    // Every shard runs its (cheap, analysis-only) front half; the facade
-    // opens once all of them succeeded. The coordinator's in-doubt verdicts
-    // are applied inside the front half, so by the time this returns no
-    // transaction anywhere is in doubt — only loser undo is outstanding,
-    // and the per-shard gates fence it.
-    std::vector<Status> statuses(shards_.size(), Status::OK());
-    if (shards_.size() == 1) {
-      statuses[0] = shards_[0]->BeginInstantRestart(resolution_ptr, handle);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(shards_.size());
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
-          statuses[i] = shards_[i]->BeginInstantRestart(resolution_ptr, handle);
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
-    Status failed = Status::OK();
-    for (const Status& status : statuses) {
-      if (!status.ok()) {
-        failed = status;
-        break;
-      }
-    }
-    if (!failed.ok()) {
-      // All-or-nothing open: crash the shards that began (their Cancel
-      // reports the abort to the handle) and report the front-half failures
-      // ourselves — a shard whose analysis failed never reached the handle.
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        if (statuses[i].ok()) {
-          shards_[i]->SimulateCrash();
-        } else {
-          handle->ShardFailed(statuses[i]);
-        }
-      }
-      return failed;
-    }
-    // Seed the facade's id spaces from the shards' analysis results.
-    TxnId seed = 1;
-    for (auto& shard : shards_) {
-      seed = std::max(seed, shard->txn_manager()->next_txn_id());
-    }
-    next_txn_id_.store(seed, std::memory_order_relaxed);
-    if (coord_ != nullptr) coord_->SeedCsn(resolution.max_csn + 1);
+  // Every shard restarts in parallel. Under kInstant a shard's Restart
+  // returns after its front half (the back half continues in the
+  // background); under kFull after both halves, so the Await below finds
+  // the handle already terminal. The coordinator's in-doubt verdicts are
+  // applied inside the front half, so once this succeeds no transaction
+  // anywhere is in doubt — only kInstant's loser undo is outstanding, and
+  // the per-shard gates fence it.
+  std::vector<Status> statuses(shards_.size(), Status::OK());
+  if (shards_.size() == 1) {
+    statuses[0] = shards_[0]->Restart(resolution_ptr, handle);
   } else {
-    // kFull: the historical blocking restart, now reported through the same
-    // handle (terminal by the time this returns).
     std::vector<std::thread> workers;
     workers.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
-      workers.emplace_back([this, i, resolution_ptr, handle] {
-        Result<RecoveryManager::Outcome> result =
-            shards_[i]->Recover(resolution_ptr);
-        if (result.ok()) {
-          handle->ShardDone(*result);
-        } else {
-          handle->ShardFailed(result.status());
-        }
+      workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
+        statuses[i] = shards_[i]->Restart(resolution_ptr, handle);
       });
     }
     for (std::thread& worker : workers) worker.join();
-    Result<RecoveryManager::Outcome> merged = handle->Await();
-    ARIESRH_RETURN_IF_ERROR(merged.status());
-    if (shards_.size() > 1) {
-      next_txn_id_.store(merged->next_txn_id, std::memory_order_relaxed);
-      // Restarted engines must never reuse a csn the durable log names.
-      coord_->SeedCsn(resolution.max_csn + 1);
+  }
+  Status failed = Status::OK();
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      failed = status;
+      break;
     }
   }
+  if (failed.ok() && mode == RecoveryMode::kFull) {
+    failed = handle->Await().status();
+  }
+  if (!failed.ok()) {
+    // All-or-nothing open: crash the shards that began (under kInstant
+    // their Cancel reports the abort to the handle) and report the
+    // front-half failures ourselves — a shard whose front half failed never
+    // reached the handle.
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (statuses[i].ok()) {
+        shards_[i]->SimulateCrash();
+      } else {
+        handle->ShardFailed(statuses[i]);
+      }
+    }
+    return failed;
+  }
+  // Seed the facade's id spaces from the shards' analysis results.
+  TxnId seed = 1;
+  for (auto& shard : shards_) {
+    seed = std::max(seed, shard->txn_manager()->next_txn_id());
+  }
+  next_txn_id_.store(seed, std::memory_order_relaxed);
+  // Restarted engines must never reuse a csn the durable log names.
+  if (coord_ != nullptr) coord_->SeedCsn(resolution.max_csn + 1);
 
   poisoned_ = false;
   crashed_ = false;
   active_recovery_ = handle;
   ttfc_armed_.store(true, std::memory_order_release);
   return handle;
-}
-
-Result<RecoveryManager::Outcome> Database::Recover() {
-  // DEPRECATED shim: identical to the historical blocking Recover() under
-  // kFull; under kInstant it starts the restart and waits it out.
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> handle,
-                           StartRecovery());
-  return handle->Await();
 }
 
 Result<int64_t> Database::ReadCommitted(ObjectId ob) {

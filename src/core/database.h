@@ -24,15 +24,15 @@
 //   db.Abort(t1);                 // does not disturb the delegated update
 //   db.Commit(t2);                // makes it durable
 //   db.SimulateCrash();
-//   db.Recover();                 // ARIES/RH restart (per shard)
+//   db.StartRecovery();           // ARIES/RH restart (per shard)
 //   db.ReadCommitted(obj);        // == 42
 //
-// Restart is governed by Options::recovery_mode: kFull blocks until all
-// three passes complete; kInstant opens after analysis and runs redo on
-// demand plus background undo (docs/INSTANT_RESTART.md). The one open
-// surface — Database::Open / OpenFromBackup / StartRecovery — returns a
-// RecoveryHandle for progress and Await(); Recover() remains as a blocking
-// shim over the same path.
+// Restart is one pipeline (RecoveryManager) governed by
+// Options::recovery_mode: kFull runs it to completion before the database
+// opens; kInstant opens after its front half (analysis) and runs redo on
+// demand plus background undo (docs/INSTANT_RESTART.md). The entry points —
+// Database::Open / OpenFromBackup / StartRecovery — return a RecoveryHandle
+// for progress and Await().
 
 #ifndef ARIESRH_CORE_DATABASE_H_
 #define ARIESRH_CORE_DATABASE_H_
@@ -54,7 +54,6 @@
 #include "core/options.h"
 #include "lock/lock_manager.h"
 #include "obs/observability.h"
-#include "recovery/ondemand.h"
 #include "recovery/recovery_manager.h"
 #include "reenact/reenact.h"
 #include "storage/buffer_pool.h"
@@ -198,7 +197,7 @@ class Database {
 
   /// Opens a database persisted with SaveTo and performs restart per
   /// Options::recovery_mode — the single open surface replacing the old
-  /// Open-then-Recover() two-step. Sharded engines load every shard's image
+  /// Open-then-restart two-step. Sharded engines load every shard's image
   /// (and the coordinator file) and restart all shards in parallel; the
   /// returned database is live the moment this returns.
   static Result<OpenResult> Open(Options options, const std::string& path);
@@ -214,17 +213,17 @@ class Database {
 
   /// Models a media failure: every shard's stable pages are destroyed (the
   /// logs, stored separately, survive) and all volatile state is lost.
-  /// RestoreFromBackup + Recover() bring a single-shard database back.
+  /// RestoreFromBackup + StartRecovery() bring a single-shard database back.
   void SimulateMediaFailure();
 
   /// Installs a backup's pages and master record after a media failure.
   /// Fails if the log needed to roll the backup forward has been archived.
-  /// Call Recover() afterwards to replay the log suffix. Single-shard
+  /// Call StartRecovery() afterwards to replay the log suffix. Single-shard
   /// engines only.
   Status RestoreFromBackup(const BackupImage& backup);
 
   /// Builds a fresh database from a backup image — the restore/open entry
-  /// point unifying the RestoreFromBackup+Recover sequence: installs the
+  /// point unifying the RestoreFromBackup+StartRecovery sequence: installs the
   /// backup's pages and its checkpoint's log window, then performs restart
   /// per Options::recovery_mode. Single-shard engines only (as Backup is).
   static Result<OpenResult> OpenFromBackup(Options options,
@@ -241,28 +240,24 @@ class Database {
 
   /// Models a failure: every shard's volatile structures and the
   /// coordinator log's unforced tail are discarded; only stable storage
-  /// survives. Recover() must run before the transactional API is used
-  /// again.
+  /// survives. StartRecovery() must run before the transactional API is
+  /// used again.
   void SimulateCrash();
 
   /// Begins restart recovery per Options::recovery_mode and returns its
-  /// handle. Under kFull every pass runs before this returns (the handle is
-  /// terminal); under kInstant the database is usable the moment this
-  /// returns — analysis has run, on-demand redo and the recovery gates are
-  /// armed, and loser undo drains in the background (handle->Await() blocks
-  /// until fully caught up). In a sharded engine every shard restarts in
-  /// parallel against the coordinator log's durable verdicts.
+  /// handle. A failure leaves the database crashed; calling it again
+  /// converges (restart is idempotent). Under kFull the whole pipeline runs
+  /// before this returns (the handle is terminal); under kInstant the
+  /// database is usable the moment this returns — analysis has run,
+  /// on-demand redo and the recovery gates are armed, and loser undo drains
+  /// in the background (handle->Await() blocks until fully caught up). In
+  /// a sharded engine every shard restarts in parallel against the
+  /// coordinator log's durable verdicts.
   Result<std::shared_ptr<RecoveryHandle>> StartRecovery();
 
-  /// DEPRECATED blocking shim over StartRecovery(): starts restart and
-  /// Await()s the handle, returning the merged Outcome. Byte-identical to
-  /// the historical Recover() under kFull; under kInstant it still blocks
-  /// (use StartRecovery() to exploit the instant open).
-  Result<RecoveryManager::Outcome> Recover();
-
-  /// True between SimulateCrash() and a successful Recover() — and, under
-  /// kInstant, after a background restart pass failed (the facade is then
-  /// poisoned until SimulateCrash()+Recover()).
+  /// True between SimulateCrash() and a successful StartRecovery() — and,
+  /// under kInstant, after a background restart pass failed (the facade is
+  /// then poisoned until SimulateCrash()+StartRecovery()).
   bool NeedsRecovery() const {
     return crashed_ ||
            (active_recovery_ != nullptr && active_recovery_->failed());
@@ -364,7 +359,7 @@ class Database {
 
   /// Shard 0's background checkpoint/log-retention daemon; nullptr unless
   /// an Options checkpoint interval enables it (and after SimulateCrash,
-  /// until Recover rebuilds it). Other shards' daemons are reachable via
+  /// until StartRecovery rebuilds it). Other shards' daemons are reachable via
   /// shard(i)->checkpoint_daemon().
   CheckpointDaemon* checkpoint_daemon() {
     return shards_.empty() ? nullptr : shards_[0]->checkpoint_daemon();
@@ -384,9 +379,9 @@ class Database {
   /// "xdel:before-coord-prepare", "xdel:before-apply:<shard>",
   /// "xdel:before-decision", "xdel:after-decision" — a returned error stops
   /// the protocol there, modelling a crash at that point (the crash-matrix
-  /// tests then SimulateCrash + Recover). A mid-protocol stop leaves the
+  /// tests then SimulateCrash + StartRecovery). A mid-protocol stop leaves the
   /// volatile state half-applied, so the facade poisons itself: every
-  /// subsequent call fails until SimulateCrash()+Recover().
+  /// subsequent call fails until SimulateCrash()+StartRecovery().
   using ProtocolHook = std::function<Status(const std::string& point)>;
   void set_protocol_test_hook(ProtocolHook hook) {
     protocol_hook_ = std::move(hook);
@@ -395,7 +390,7 @@ class Database {
   /// True after a cross-shard protocol stopped mid-flight (test hook or
   /// component failure) — or after an instant restart's background pass
   /// failed, which leaves shards half-recovered the same way; cleared by
-  /// SimulateCrash()+Recover().
+  /// SimulateCrash()+StartRecovery().
   bool poisoned() const {
     return poisoned_ ||
            (active_recovery_ != nullptr && active_recovery_->failed());
@@ -446,7 +441,7 @@ class Database {
 
   Options options_;
   /// Options::Validate() verdict from construction. When not OK, every
-  /// operation (including Recover) returns it — the database is inert.
+  /// operation (including StartRecovery) returns it — the database is inert.
   Status init_status_ = Status::OK();
   obs::Observability obs_;  // declared before stats_: bound during its life
   /// The aggregate Stats view: bound to the shared registry cells every

@@ -39,7 +39,7 @@ void EngineShard::BuildVolatileComponents() {
       [this](Lsn lsn) { return log_->Flush(lsn); }, &stats_);
   locks_ = std::make_unique<LockManager>(&stats_);
   // The heap's frames are volatile like the pool's; its stable pages live in
-  // the same simulated disk. A fresh build starts empty — Recover()
+  // the same simulated disk. A fresh build starts empty — Restart()
   // bootstraps it from stable pages before replaying the log.
   heap_ = std::make_unique<table::TableHeap>(
       disk_.get(), &stats_, [this](Lsn lsn) { return log_->Flush(lsn); });
@@ -47,7 +47,7 @@ void EngineShard::BuildVolatileComponents() {
                                               pool_.get(), locks_.get(),
                                               &stats_, heap_.get());
   // The flusher is volatile like everything else here: SimulateCrash tears
-  // it down with the log manager and Recover() builds a fresh one.
+  // it down with the log manager and Restart() builds a fresh one.
   if (options_.group_commit) {
     LogManager::GroupCommitConfig gc;
     gc.window_us = options_.group_commit_window_us;
@@ -58,7 +58,7 @@ void EngineShard::BuildVolatileComponents() {
   }
   // So is the checkpoint daemon — but it only starts once the shard is
   // usable: mid-recovery (crashed_ still set) its checkpoints would bounce
-  // off EnsureUsable, so Recover() starts it after restart completes.
+  // off EnsureUsable, so Restart() starts it once the back half completes.
   if (options_.checkpoint_interval_records > 0 ||
       options_.checkpoint_interval_ms > 0) {
     daemon_ = std::make_unique<CheckpointDaemon>(
@@ -70,14 +70,14 @@ void EngineShard::BuildVolatileComponents() {
 
 void EngineShard::UpdateLogLiveGauge() {
   const Lsn end = log_->end_lsn();
-  const Lsn first = disk_->first_retained_lsn();
+  const Lsn first = log_->first_retained_lsn();
   obs_->registry.GetGauge(log_live_gauge_name_)
       ->Set(end >= first ? static_cast<int64_t>(end - first + 1) : 0);
 }
 
 Status EngineShard::EnsureUsable() const {
   if (crashed_) {
-    return Status::IllegalState("database crashed; call Recover() first");
+    return Status::IllegalState("database crashed; call StartRecovery() first");
   }
   return Status::OK();
 }
@@ -182,7 +182,7 @@ Status EngineShard::Checkpoint() {
   // dirty page table would miss pages whose redo is still pending on
   // demand, and its transaction table knows nothing of the losers the
   // background sweep is still rolling back.
-  ARIESRH_RETURN_IF_ERROR(AwaitInstantRecovery());
+  ARIESRH_RETURN_IF_ERROR(AwaitRecovery());
   std::lock_guard admin(admin_mu_);
   obs::ScopedLatencyTimer timer(checkpoint_ns_);
 
@@ -203,11 +203,15 @@ Status EngineShard::Checkpoint() {
   // reconciles against this snapshot. Prepared (in-doubt) transactions are
   // snapshotted too — their fate is the coordinator's, not recovery's, so
   // losing them from a checkpoint would silently presume-abort a round the
-  // coordinator may have committed.
+  // coordinator may have committed. A transaction whose COMMIT record is
+  // already appended is left out even while its commit force is in flight:
+  // analysis starts at CKPT_BEGIN and might never see that COMMIT, and the
+  // CKPT_END force below makes it durable before the master record moves.
   for (const auto& [id, tx] : txn_manager_->SnapshotTransactions()) {
     if (tx.state != TxnState::kActive && tx.state != TxnState::kPrepared) {
       continue;
     }
+    if (tx.commit_lsn != kInvalidLsn) continue;
     CheckpointData::TxnSnapshot snap;
     snap.id = id;
     snap.first_lsn = tx.first_lsn;
@@ -255,7 +259,7 @@ Result<EngineShard::BackupImage> EngineShard::Backup() {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
   // A backup clones the stable pages, so every pending on-demand redo (and
   // the background undo's CLRs) must land first.
-  ARIESRH_RETURN_IF_ERROR(AwaitInstantRecovery());
+  ARIESRH_RETURN_IF_ERROR(AwaitRecovery());
   // Sharp backup: every logged update reaches the stable pages first, and a
   // checkpoint records the tables/redo point the restore will start from.
   ARIESRH_RETURN_IF_ERROR(pool_->FlushAll());
@@ -308,7 +312,7 @@ Result<uint64_t> EngineShard::ArchiveLog(Lsn retain_from) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
   // The pending redo plan and the background undo both still read the log
   // suffix; archiving under them could drop records they need.
-  ARIESRH_RETURN_IF_ERROR(AwaitInstantRecovery());
+  ARIESRH_RETURN_IF_ERROR(AwaitRecovery());
   if (options_.delegation_mode != DelegationMode::kRH &&
       options_.delegation_mode != DelegationMode::kDisabled) {
     return Status::NotSupported(
@@ -348,25 +352,25 @@ Result<uint64_t> EngineShard::ArchiveLog(Lsn retain_from) {
     }
   }
   if (retain_from != kInvalidLsn) safe = std::min(safe, retain_from);
-  const uint64_t archived = disk_->ArchiveLogPrefix(safe);
+  const uint64_t archived = log_->ArchivePrefix(safe);
   stats_.archived_records += archived;
   UpdateLogLiveGauge();
   return archived;
 }
 
 void EngineShard::SimulateCrash() {
-  // An in-flight instant restart goes first: Cancel joins its background
-  // worker, so nothing concurrently drives the components (or starts the
-  // daemon via on_complete) once the teardown below begins. This is also
+  // An in-flight restart goes first: Cancel joins its background worker, so
+  // nothing concurrently drives the components (or starts the daemon via
+  // the completion callback) once the teardown below begins. This is also
   // the crash-mid-background-undo model — CLRs are idempotent through the
   // compensated set, so the next restart repeats whatever was cut short.
-  if (instant_ != nullptr) {
-    instant_->Cancel(Status::Aborted("crash during instant restart"));
+  if (recovery_ != nullptr) {
+    recovery_->Cancel(Status::Aborted("crash during restart"));
   }
   // The daemon goes next — its thread drives the components about to be
   // discarded, so it must be joined before any of them is reset.
   daemon_.reset();
-  instant_.reset();
+  recovery_.reset();
   // Everything volatile disappears; the simulated disk survives — and so
   // does the observability bundle, by design: the trace is how a crash is
   // observed after the fact.
@@ -380,36 +384,10 @@ void EngineShard::SimulateCrash() {
   crashed_ = true;
 }
 
-Result<RecoveryManager::Outcome> EngineShard::Recover(
-    const coord::Resolution* resolution) {
+Status EngineShard::Restart(const coord::Resolution* resolution,
+                            std::shared_ptr<RecoveryHandle> handle) {
   if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
-  }
-  ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
-  BuildVolatileComponents();
-  // The heap's stable pages come back before the log replays over them.
-  ARIESRH_RETURN_IF_ERROR(heap_->Bootstrap());
-
-  RecoveryManager recovery(options_, disk_.get(), log_.get(), pool_.get(),
-                           &stats_, heap_.get());
-  ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome,
-                           recovery.Recover(resolution));
-  txn_manager_->SetNextTxnId(outcome.next_txn_id);
-  crashed_ = false;
-
-  if (options_.checkpoint_after_recovery) {
-    ARIESRH_RETURN_IF_ERROR(pool_->FlushAll());
-    ARIESRH_RETURN_IF_ERROR(heap_->FlushAll());
-    ARIESRH_RETURN_IF_ERROR(Checkpoint());
-  }
-  if (daemon_ != nullptr) daemon_->Start();
-  return outcome;
-}
-
-Status EngineShard::BeginInstantRestart(const coord::Resolution* resolution,
-                                        std::shared_ptr<RecoveryHandle> handle) {
-  if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
+    return Status::IllegalState("restart without a preceding crash");
   }
   ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
   BuildVolatileComponents();
@@ -418,37 +396,17 @@ Status EngineShard::BeginInstantRestart(const coord::Resolution* resolution,
 
   const std::string suffix =
       shard_count_ > 1 ? "_shard" + std::to_string(shard_index_) : "";
-  instant_ = std::make_unique<InstantRestart>(
+  recovery_ = std::make_unique<RecoveryManager>(
       options_, disk_.get(), log_.get(), pool_.get(), &stats_, heap_.get(),
       obs_->registry.GetGauge("ariesrh_undo_backlog" + suffix));
   TxnId next_txn_id = 0;
-  // Flipped before Start spawns the background worker: on a very fast
-  // drain, on_complete's checkpoint would otherwise race this write (and
-  // bounce off EnsureUsable). Nothing else can reach the shard yet — the
-  // facade publishes it only after this returns.
-  crashed_ = false;
-  Status started = instant_->Start(
-      resolution, std::move(handle), &next_txn_id, [this] {
-        // Runs on the background thread once both lazy passes drained; the
-        // shard is fully recovered, so the post-restart housekeeping the
-        // blocking path does inline happens here. Checkpoint errors cannot
-        // surface to a caller anymore — the handle already carries the
-        // restart's outcome — so they are advisory, exactly like a failed
-        // daemon checkpoint.
-        if (options_.checkpoint_after_recovery) {
-          Status flushed = pool_->FlushAll();
-          if (flushed.ok()) flushed = heap_->FlushAll();
-          if (flushed.ok()) flushed = Checkpoint();
-          (void)flushed;
-        }
-        if (daemon_ != nullptr) daemon_->Start();
-      });
+  Status started = recovery_->Start(resolution, std::move(handle),
+                                    &next_txn_id);
   if (!started.ok()) {
-    // Analysis failed: the shard never opened. Back out to the crashed
-    // state so kFull Recover() (or another attempt) still applies.
-    crashed_ = true;
+    // The front half failed: the shard never opened. Back out to the
+    // crashed state so another restart still applies.
     daemon_.reset();
-    instant_.reset();
+    recovery_.reset();
     log_.reset();
     pool_.reset();
     locks_.reset();
@@ -457,22 +415,38 @@ Status EngineShard::BeginInstantRestart(const coord::Resolution* resolution,
     return started;
   }
   txn_manager_->SetNextTxnId(next_txn_id);
+  // Flipped before the back half starts: its completion callback
+  // checkpoints, which needs a usable shard. Nothing else can reach the
+  // shard yet — the facade publishes it only after this returns.
+  crashed_ = false;
+  recovery_->Run([this] {
+    // The shard is fully recovered. Checkpoint errors cannot surface to a
+    // caller here — the handle carries the restart's outcome — so they are
+    // advisory, exactly like a failed daemon checkpoint.
+    if (options_.checkpoint_after_recovery) {
+      Status flushed = pool_->FlushAll();
+      if (flushed.ok()) flushed = heap_->FlushAll();
+      if (flushed.ok()) flushed = Checkpoint();
+      (void)flushed;
+    }
+    if (daemon_ != nullptr) daemon_->Start();
+  });
   return Status::OK();
 }
 
 Status EngineShard::WaitForObjectRecovery(ObjectId ob) {
-  if (instant_ == nullptr) return Status::OK();
-  return instant_->WaitForObject(ob);
+  if (recovery_ == nullptr) return Status::OK();
+  return recovery_->WaitForObject(ob);
 }
 
 Status EngineShard::WaitForAllRecovery() {
-  if (instant_ == nullptr) return Status::OK();
-  return instant_->WaitForAll();
+  if (recovery_ == nullptr) return Status::OK();
+  return recovery_->WaitForAll();
 }
 
-Status EngineShard::AwaitInstantRecovery() {
-  if (instant_ == nullptr) return Status::OK();
-  return instant_->Await();
+Status EngineShard::AwaitRecovery() {
+  if (recovery_ == nullptr) return Status::OK();
+  return recovery_->Await();
 }
 
 Result<int64_t> EngineShard::ReadCommitted(ObjectId ob) {

@@ -31,7 +31,6 @@
 #include "core/options.h"
 #include "lock/lock_manager.h"
 #include "obs/observability.h"
-#include "recovery/ondemand.h"
 #include "recovery/recovery_manager.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
@@ -138,32 +137,29 @@ class EngineShard {
   /// Discards every volatile structure; only stable storage survives.
   void SimulateCrash();
 
-  /// ARIES/RH restart recovery (RecoveryMode::kFull: all three passes block
-  /// the open). `resolution` (sharded engines) carries the coordinator's
-  /// durable verdicts for in-doubt transactions and cross-shard delegation
-  /// legs; nullptr is the unsharded engine's path.
-  Result<RecoveryManager::Outcome> Recover(
-      const coord::Resolution* resolution = nullptr);
-
-  /// Instant restart (RecoveryMode::kInstant): runs analysis synchronously,
-  /// arms on-demand redo and the recovery gate, then opens the shard while
-  /// loser-cluster undo and the final redo drain run in the background. The
-  /// shard reports its completion (with its per-pass Outcome) or failure on
-  /// `handle`. On error the shard stays crashed.
-  Status BeginInstantRestart(const coord::Resolution* resolution,
-                             std::shared_ptr<RecoveryHandle> handle);
+  /// ARIES/RH restart (RecoveryManager): runs the front half, then the back
+  /// half — to completion before returning under RecoveryMode::kFull, in
+  /// the background under kInstant (the shard is open meanwhile, behind the
+  /// recovery gate). The back half reports its completion (with the shard's
+  /// Outcome) or failure on `handle`. `resolution` (sharded engines) carries
+  /// the coordinator's durable verdicts for in-doubt transactions and
+  /// cross-shard delegation legs; nullptr is the unsharded engine's path.
+  /// Returns the front half's status; on error the shard stays crashed.
+  Status Restart(const coord::Resolution* resolution,
+                 std::shared_ptr<RecoveryHandle> handle);
 
   /// Blocks until `ob` is outside every unresolved loser cluster (no-op
-  /// after restart completes, or when no instant restart is in flight).
-  /// Returns the background pass's terminal status if it failed.
+  /// once the restart's back half completed, which under kFull is before
+  /// the shard opens). Returns the back half's terminal status if it
+  /// failed.
   Status WaitForObjectRecovery(ObjectId ob);
 
   /// Blocks until every loser cluster resolved (scans).
   Status WaitForAllRecovery();
 
-  /// Blocks until the whole background pass drained (checkpoints, backups,
+  /// Blocks until the restart's back half finished (checkpoints, backups,
   /// archiving — operations that need the stable state caught up).
-  Status AwaitInstantRecovery();
+  Status AwaitRecovery();
 
   bool NeedsRecovery() const { return crashed_; }
 
@@ -202,7 +198,7 @@ class EngineShard {
     ckpt_hooks_ = std::move(hooks);
   }
 
-  /// "database crashed; call Recover() first" when crashed (the facade
+  /// "database crashed; call StartRecovery() first" when crashed (the facade
   /// surfaces this verbatim so the unsharded error text is unchanged).
   Status EnsureUsable() const;
 
@@ -232,10 +228,10 @@ class EngineShard {
   std::mutex admin_mu_;
   obs::Histogram* checkpoint_ns_ = nullptr;
   CheckpointTestHooks ckpt_hooks_;
-  /// Live between BeginInstantRestart and the next SimulateCrash; its
-  /// background thread touches log_/pool_/heap_, so it is declared after
+  /// Live between Restart and the next SimulateCrash; its background
+  /// thread (kInstant) touches log_/pool_/heap_, so it is declared after
   /// them (destroyed — and joined — first).
-  std::unique_ptr<InstantRestart> instant_;
+  std::unique_ptr<RecoveryManager> recovery_;
   /// Declared last: destroyed first, so the daemon thread is joined before
   /// any component it drives goes away.
   std::unique_ptr<CheckpointDaemon> daemon_;

@@ -45,7 +45,7 @@ enum class UndoStrategy {
 
 const char* UndoStrategyName(UndoStrategy strategy);
 
-/// How much restart work Database::Open / Recover performs before the
+/// How much restart work Database::Open / StartRecovery performs before the
 /// engine accepts new transactions (docs/INSTANT_RESTART.md).
 enum class RecoveryMode {
   /// Classic ARIES/RH restart: analysis, redo, and undo all complete before
@@ -214,10 +214,11 @@ struct Options {
   bool merged_forward_pass = true;
 
   /// Worker threads for restart recovery. 1 (the default) keeps the serial
-  /// layouts exactly as before. With more threads, recovery runs a serial
-  /// analysis pass that collects a redo plan, replays it page-partitioned
-  /// on a worker pool, and dispatches independent loser-scope cluster
-  /// groups to workers for the undo pass.
+  /// layout: the merged forward pass, then the undo groups one after
+  /// another. With more threads, a full restart's analysis pass collects a
+  /// redo plan and replays it page-partitioned on a worker pool, and the
+  /// independent loser-scope cluster groups are dispatched to workers for
+  /// the undo pass.
   size_t recovery_threads = 1;
 
   /// Simulated seek stall, in nanoseconds, charged to each *random*

@@ -290,7 +290,10 @@ Status ScriptRunner::RunCommand(const std::vector<std::string>& tokens) {
     return Status::OK();
   }
   if (cmd == "recover") {
-    ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome, db_->Recover());
+    ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> restart,
+                             db_->StartRecovery());
+    ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome,
+                             restart->Await());
     trace_.push_back("recover: winners=" + std::to_string(outcome.winners) +
                      " losers=" + std::to_string(outcome.losers));
     return Status::OK();

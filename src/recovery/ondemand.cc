@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/clock.h"
-#include "obs/trace.h"
-#include "recovery/parallel.h"
-#include "wal/log_record.h"
+#include "table/table_heap.h"
 
 namespace ariesrh {
 
@@ -163,361 +160,6 @@ void RecoveryGate::Close(Status status) {
   closed_ = true;
   close_status_ = std::move(status);
   cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// RecoveryHandle
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<RecoveryHandle> RecoveryHandle::Terminal(RecoveryMode mode,
-                                                         Outcome outcome) {
-  auto handle = std::shared_ptr<RecoveryHandle>(new RecoveryHandle(mode, 0));
-  handle->merged_ = std::move(outcome);
-  handle->any_merged_ = true;
-  return handle;
-}
-
-std::shared_ptr<RecoveryHandle> RecoveryHandle::Pending(RecoveryMode mode,
-                                                        size_t shards) {
-  return std::shared_ptr<RecoveryHandle>(new RecoveryHandle(mode, shards));
-}
-
-Result<RecoveryHandle::Outcome> RecoveryHandle::Await() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return pending_ == 0; });
-  if (!status_.ok()) return status_;
-  return merged_;
-}
-
-bool RecoveryHandle::done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_ == 0;
-}
-
-bool RecoveryHandle::failed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !status_.ok();
-}
-
-size_t RecoveryHandle::shards_pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_;
-}
-
-void RecoveryHandle::ShardDone(const Outcome& outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MergeLocked(outcome);
-  if (pending_ > 0) --pending_;
-  cv_.notify_all();
-}
-
-void RecoveryHandle::ShardFailed(const Status& status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (status_.ok()) status_ = status;
-  if (pending_ > 0) --pending_;
-  cv_.notify_all();
-}
-
-void RecoveryHandle::MergeLocked(const Outcome& outcome) {
-  if (!any_merged_) {
-    merged_ = outcome;
-    any_merged_ = true;
-    return;
-  }
-  // Same shape as the sharded facade's historical merge: wall-clock times
-  // and id-space maxima take the max (shards recover concurrently), counted
-  // work sums.
-  merged_.next_txn_id = std::max(merged_.next_txn_id, outcome.next_txn_id);
-  merged_.winners += outcome.winners;
-  merged_.losers += outcome.losers;
-  merged_.checkpoint_used =
-      std::max(merged_.checkpoint_used, outcome.checkpoint_used);
-  merged_.threads_used = std::max(merged_.threads_used, outcome.threads_used);
-  merged_.merged_forward_pass =
-      merged_.merged_forward_pass || outcome.merged_forward_pass;
-  merged_.analysis_ns = std::max(merged_.analysis_ns, outcome.analysis_ns);
-  merged_.redo_ns = std::max(merged_.redo_ns, outcome.redo_ns);
-  merged_.undo_ns = std::max(merged_.undo_ns, outcome.undo_ns);
-  merged_.records_analyzed += outcome.records_analyzed;
-  merged_.records_redone += outcome.records_redone;
-  merged_.records_undone += outcome.records_undone;
-  merged_.clusters_swept += outcome.clusters_swept;
-  merged_.records_skipped += outcome.records_skipped;
-  merged_.in_doubt_committed += outcome.in_doubt_committed;
-  merged_.in_doubt_aborted += outcome.in_doubt_aborted;
-}
-
-// ---------------------------------------------------------------------------
-// InstantRestart
-// ---------------------------------------------------------------------------
-
-InstantRestart::InstantRestart(const Options& options, SimulatedDisk* disk,
-                               LogManager* log, BufferPool* pool, Stats* stats,
-                               table::TableHeap* heap,
-                               obs::Gauge* backlog_gauge)
-    : options_(options),
-      disk_(disk),
-      log_(log),
-      pool_(pool),
-      stats_(stats),
-      heap_(heap),
-      backlog_gauge_(backlog_gauge) {}
-
-InstantRestart::~InstantRestart() {
-  Cancel(Status::Aborted("instant restart torn down"));
-}
-
-Status InstantRestart::Start(const coord::Resolution* resolution,
-                             std::shared_ptr<RecoveryHandle> handle,
-                             TxnId* next_txn_id,
-                             std::function<void()> on_complete) {
-  handle_ = std::move(handle);
-  on_complete_ = std::move(on_complete);
-
-  CheckpointData ckpt;
-  Lsn ckpt_end_lsn = 0;
-  ARIESRH_ASSIGN_OR_RETURN(
-      ckpt_end_lsn,
-      RecoveryManager::LocateCheckpoint(options_, disk_, log_, &ckpt));
-  const CheckpointData* ckpt_ptr = ckpt_end_lsn != 0 ? &ckpt : nullptr;
-  outcome_.checkpoint_used = ckpt_end_lsn;
-  outcome_.threads_used =
-      static_cast<uint32_t>(std::max<size_t>(1, options_.recovery_threads));
-
-  // The analysis sweep: rebuild the transaction table and the scope index,
-  // collect (but do not apply) the redo plan. This is the only restart work
-  // the open waits for.
-  const uint64_t analysis_start = obs::MonotonicNanos();
-  ARIESRH_ASSIGN_OR_RETURN(
-      fwd_, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
-                        ckpt_ptr, ckpt_end_lsn,
-                        ForwardPassKind::kAnalysisCollectRedo,
-                        /*redo_budget=*/nullptr, resolution, heap_));
-  outcome_.analysis_ns = obs::MonotonicNanos() - analysis_start;
-  outcome_.records_analyzed = fwd_.records_scanned;
-  if (obs::MetricsRegistry* registry = stats_->registry()) {
-    registry->GetHistogram("ariesrh_recovery_analysis_ns")
-        ->Observe(outcome_.analysis_ns);
-  }
-
-  // Resolve in-doubt (prepared) transactions before anything opens — same
-  // rules as the blocking path (presumed abort without a verdict).
-  const InDoubtVerdicts in_doubt =
-      ResolveInDoubt(&fwd_, resolution, [this](TxnId txn, TxnAnalysis& info) {
-        info.last_lsn = log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
-      });
-  outcome_.in_doubt_committed = in_doubt.committed;
-  outcome_.in_doubt_aborted = in_doubt.aborted;
-
-  // Build the undo work: every loser scope, partitioned into independently
-  // sweepable cluster groups (each loser lives in exactly one group).
-  const std::vector<ScopeUndoTarget> targets = LoserScopeTargets(fwd_);
-  std::unordered_set<TxnId> backgrounded;
-  for (const ScopeUndoTarget& target : targets) {
-    backgrounded.insert(target.responsible);
-  }
-  groups_ = PartitionUndoClusters(targets);
-  outcome_.clusters_swept = groups_.size();
-  group_heads_.assign(groups_.size(), {});
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (const ScopeUndoTarget& target : groups_[g]) {
-      group_heads_[g][target.responsible] =
-          fwd_.txns.at(target.responsible).last_lsn;
-    }
-  }
-
-  // Transactions analysis alone fully resolves get END records up front:
-  // winners, and losers with nothing to undo. Losers with scopes get theirs
-  // when their cluster group's background sweep completes.
-  for (auto& [txn, info] : fwd_.txns) {
-    if (info.committed) {
-      ++outcome_.winners;
-      if (!info.ended) log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
-    } else if (!info.ended) {
-      ++outcome_.losers;
-      if (backgrounded.count(txn) == 0) {
-        log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
-      }
-    }
-  }
-
-  // Arm the lazy machinery before the engine opens: the redo index feeds
-  // the pool's (and heap's) fetch path, the gate feeds the transaction
-  // entry points.
-  ondemand_ = std::make_unique<OnDemandRedo>(
-      std::move(fwd_.redo_plan), stats_,
-      handle_ != nullptr ? handle_->redo_pages_cell() : nullptr);
-  gate_.Arm(groups_);
-  if (handle_ != nullptr) {
-    handle_->AddUndoBacklog(static_cast<int64_t>(groups_.size()));
-  }
-  SetBacklogGauge();
-
-  OnDemandRedo* ondemand = ondemand_.get();
-  pool_->set_redo_resolve(
-      [ondemand](PageId id, Page* page) { return ondemand->DrainPage(id, page); });
-  if (heap_ != nullptr) {
-    heap_->set_redo_resolve([ondemand](size_t bucket) {
-      return ondemand->TakeBucket(table::kHeapPageBase +
-                                  static_cast<PageId>(bucket));
-    });
-  }
-
-  *next_txn_id = fwd_.max_txn_id + 1;
-  outcome_.next_txn_id = fwd_.max_txn_id + 1;
-
-  // The analysis-time appends (in-doubt COMMITs, up-front ENDs) go stable
-  // before the open, so a crash right after it re-resolves identically.
-  ARIESRH_RETURN_IF_ERROR(log_->FlushAll());
-
-  worker_ = std::thread([this] { BackgroundPass(); });
-  return Status::OK();
-}
-
-void InstantRestart::BackgroundPass() {
-  Status status = RunBackgroundUndo();
-  if (status.ok()) status = DrainRemainingRedo();
-  if (status.ok()) status = log_->FlushAll();
-  Finish(std::move(status));
-}
-
-Status InstantRestart::RunBackgroundUndo() {
-  ++stats_->recovery_passes;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
-            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo), kFirstLsn,
-            fwd_.scan_end);
-  const uint64_t examined_before = stats_->recovery_backward_examined;
-  const uint64_t undo_start = obs::MonotonicNanos();
-  // This shard's own counts: its Stats cells may aggregate shards
-  // restarting concurrently.
-  std::atomic<uint64_t> undone{0};
-  std::atomic<uint64_t> skipped{0};
-
-  RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
-  RecoveryFaultBudget* budget_ptr =
-      options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr;
-  const size_t threads = std::max<size_t>(1, options_.recovery_threads);
-
-  Status status =
-      RunOnWorkers(threads, groups_.size(), [&](size_t g) -> Status {
-        if (cancel_.load(std::memory_order_acquire)) {
-          return Status::Aborted("instant restart cancelled");
-        }
-        // Each group's sweep starts at its own newest scope end, exactly as
-        // the blocking parallel undo does.
-        Lsn group_from = kFirstLsn;
-        for (const ScopeUndoTarget& target : groups_[g]) {
-          group_from = std::max(group_from, target.scope.last);
-        }
-        ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(
-            groups_[g], fwd_.compensated, group_from, log_, stats_,
-            UndoUpdate(log_, pool_, stats_, &group_heads_[g], heap_,
-                       budget_ptr, &undone),
-            &skipped));
-        // The group's losers are fully rolled back: END them and lift the
-        // gate for every object the group covered.
-        for (const auto& [txn, head] : group_heads_[g]) {
-          log_->Append(LogRecord::MakeEnd(txn, head));
-        }
-        gate_.MarkResolved(g);
-        if (handle_ != nullptr) handle_->AddUndoBacklog(-1);
-        SetBacklogGauge();
-        return Status::OK();
-      });
-
-  outcome_.undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome_.records_undone = undone.load(std::memory_order_relaxed);
-  outcome_.records_skipped = skipped.load(std::memory_order_relaxed);
-  if (obs::MetricsRegistry* registry = stats_->registry()) {
-    registry->GetHistogram("ariesrh_recovery_undo_ns")
-        ->Observe(outcome_.undo_ns);
-  }
-  obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
-            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
-            stats_->recovery_backward_examined - examined_before,
-            outcome_.records_undone);
-  return status;
-}
-
-Status InstantRestart::DrainRemainingRedo() {
-  const uint64_t drain_start = obs::MonotonicNanos();
-  for (PageId id : ondemand_->PendingPlainPages()) {
-    if (cancel_.load(std::memory_order_acquire)) {
-      return Status::Aborted("instant restart cancelled");
-    }
-    // Fetching is enough: the pool's resolve hook drains the page and marks
-    // it dirty with the drained suffix's first LSN.
-    ARIESRH_RETURN_IF_ERROR(
-        pool_->WithPage(id, [](Page*) { return kInvalidLsn; }));
-  }
-  if (heap_ != nullptr) {
-    ARIESRH_RETURN_IF_ERROR(heap_->DrainPending());
-  }
-  outcome_.redo_ns = obs::MonotonicNanos() - drain_start;
-  outcome_.records_redone = ondemand_->records_applied();
-  return Status::OK();
-}
-
-void InstantRestart::Finish(Status status) {
-  std::function<void()> on_complete;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    status_ = std::move(status);
-    on_complete = std::move(on_complete_);
-    done_.store(true, std::memory_order_release);
-  }
-  cv_.notify_all();
-  Status terminal;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    terminal = status_;
-  }
-  if (!terminal.ok()) {
-    // Wake every blocked transaction with the failure; the shard stays
-    // half-recovered until SimulateCrash()+Recover().
-    gate_.Close(terminal);
-    if (handle_ != nullptr) handle_->ShardFailed(terminal);
-    return;
-  }
-  if (backlog_gauge_ != nullptr) backlog_gauge_->Set(0);
-  if (on_complete) on_complete();
-  if (handle_ != nullptr) handle_->ShardDone(outcome_);
-}
-
-Status InstantRestart::WaitForObject(ObjectId ob) {
-  if (done_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return status_;
-  }
-  return gate_.WaitForObject(ob);
-}
-
-Status InstantRestart::WaitForAll() {
-  Status gate_status = gate_.WaitForAll();
-  if (!gate_status.ok()) return gate_status;
-  if (done_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return status_;
-  }
-  return Status::OK();
-}
-
-Status InstantRestart::Await() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return done_.load(std::memory_order_acquire); });
-  return status_;
-}
-
-void InstantRestart::Cancel(const Status& reason) {
-  cancel_.store(true, std::memory_order_release);
-  gate_.Close(reason);
-  if (worker_.joinable()) worker_.join();
-}
-
-void InstantRestart::SetBacklogGauge() {
-  if (backlog_gauge_ != nullptr) {
-    backlog_gauge_->Set(static_cast<int64_t>(gate_.unresolved_groups()));
-  }
 }
 
 }  // namespace ariesrh

@@ -1,6 +1,7 @@
-// Instant restart (Options::recovery_mode = kInstant): the engine opens for
-// business right after the analysis sweep, and the two expensive restart
-// passes run lazily (docs/INSTANT_RESTART.md).
+// The lazy machinery of instant restart (Options::recovery_mode = kInstant;
+// docs/INSTANT_RESTART.md). The restart pipeline itself is RecoveryManager;
+// under kInstant it arms these two before the engine opens and runs its back
+// half in the background.
 //
 //   * Redo on demand: analysis collects the parsed redo plan
 //     (ForwardPassKind::kAnalysisCollectRedo) and OnDemandRedo indexes it
@@ -8,21 +9,15 @@
 //     replays that page's log suffix before anyone sees the frame; logical
 //     table records are indexed per heap bucket and drained by the table
 //     heap the same way. A page nobody touches is paid for only by the
-//     background drain at the very end.
+//     back half's drain at the very end.
 //
-//   * Undo in the background: loser-scope cluster groups
-//     (PartitionUndoClusters) are swept by a worker pool while the engine
-//     serves new transactions. The scope index is what makes this safe —
-//     RecoveryGate blocks exactly the transactions whose footprints
-//     intersect a still-unresolved loser cluster; everything else proceeds
-//     immediately. This is the RH-native advantage: page-chain schemes need
-//     per-page recovery bits, RH already knows every object a loser still
-//     covers.
-//
-// RecoveryHandle is the caller's view of the whole restart: progress,
-// per-pass stats, Await(), and the terminal Outcome — under kFull it is
-// born terminal, under kInstant it completes when every shard's background
-// pass drains.
+//   * The recovery gate: loser-scope cluster groups (PartitionUndoClusters)
+//     are swept in the background while the engine serves new transactions.
+//     The scope index is what makes this safe — RecoveryGate blocks exactly
+//     the transactions whose footprints intersect a still-unresolved loser
+//     cluster; everything else proceeds immediately. This is the RH-native
+//     advantage: page-chain schemes need per-page recovery bits, RH already
+//     knows every object a loser still covers.
 
 #ifndef ARIESRH_RECOVERY_ONDEMAND_H_
 #define ARIESRH_RECOVERY_ONDEMAND_H_
@@ -30,29 +25,17 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "coord/coordinator_log.h"
-#include "core/options.h"
-#include "obs/metrics.h"
-#include "recovery/analysis.h"
-#include "recovery/recovery_manager.h"
 #include "recovery/redo.h"
 #include "recovery/undo_rh.h"
-#include "storage/buffer_pool.h"
-#include "storage/simulated_disk.h"
-#include "table/table_heap.h"
+#include "storage/page.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
-#include "wal/log_manager.h"
+#include "wal/log_record.h"
 
 namespace ariesrh {
 
@@ -137,145 +120,6 @@ class RecoveryGate {
   std::atomic<size_t> unresolved_{0};
   bool closed_ = false;
   Status close_status_ = Status::OK();
-};
-
-/// The caller's view of one restart: progress while it runs, the merged
-/// RecoveryManager::Outcome once it completes. Under kFull the handle is
-/// born terminal; under kInstant every shard reports its background
-/// completion (or failure) here. Shared between the Database facade, the
-/// shards' background threads, and any number of Await()ers.
-class RecoveryHandle {
- public:
-  using Outcome = RecoveryManager::Outcome;
-
-  /// A handle for a restart that already finished (kFull, fresh opens).
-  static std::shared_ptr<RecoveryHandle> Terminal(RecoveryMode mode,
-                                                  Outcome outcome);
-
-  /// A live handle awaiting `shards` completions.
-  static std::shared_ptr<RecoveryHandle> Pending(RecoveryMode mode,
-                                                 size_t shards);
-
-  /// Blocks until every shard completed; returns the merged Outcome, or the
-  /// first failure any shard reported.
-  Result<Outcome> Await();
-
-  bool done() const;
-  bool failed() const;
-  RecoveryMode mode() const { return mode_; }
-
-  /// --- progress (live under kInstant) ---
-  size_t shards_pending() const;
-  /// Unresolved loser cluster groups across all shards.
-  int64_t undo_backlog() const {
-    return undo_backlog_.load(std::memory_order_relaxed);
-  }
-  /// Pages/buckets with pending on-demand redo across all shards.
-  int64_t redo_pages_pending() const {
-    return redo_pages_.load(std::memory_order_relaxed);
-  }
-
-  /// --- engine-side reporting ---
-  void ShardDone(const Outcome& outcome);
-  void ShardFailed(const Status& status);
-  void AddUndoBacklog(int64_t delta) {
-    undo_backlog_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::atomic<int64_t>* redo_pages_cell() { return &redo_pages_; }
-
- private:
-  RecoveryHandle(RecoveryMode mode, size_t pending)
-      : mode_(mode), pending_(pending) {}
-
-  void MergeLocked(const Outcome& outcome);
-
-  const RecoveryMode mode_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  size_t pending_;
-  bool any_merged_ = false;
-  Outcome merged_;
-  Status status_ = Status::OK();
-  std::atomic<int64_t> undo_backlog_{0};
-  std::atomic<int64_t> redo_pages_{0};
-};
-
-/// One shard's instant restart: the synchronous front half (analysis,
-/// in-doubt resolution, winner ENDs, arming the redo index and the gate)
-/// and the background half (incremental cluster undo, then the final redo
-/// drain). Owned by the EngineShard between BeginInstantRestart and the
-/// next SimulateCrash.
-class InstantRestart {
- public:
-  /// `backlog_gauge` (optional) is the shard's "ariesrh_undo_backlog"
-  /// gauge, kept at the live unresolved-group count.
-  InstantRestart(const Options& options, SimulatedDisk* disk, LogManager* log,
-                 BufferPool* pool, Stats* stats, table::TableHeap* heap,
-                 obs::Gauge* backlog_gauge);
-  ~InstantRestart();
-
-  InstantRestart(const InstantRestart&) = delete;
-  InstantRestart& operator=(const InstantRestart&) = delete;
-
-  /// The synchronous front half. On success the shard may open: the redo
-  /// index and gate are armed (pool/heap resolve hooks installed), the
-  /// background thread is running, and `*next_txn_id` carries the id seed.
-  /// `on_complete` runs on the background thread after a successful drain,
-  /// before the handle learns of completion (checkpoint-after-recovery,
-  /// daemon start).
-  Status Start(const coord::Resolution* resolution,
-               std::shared_ptr<RecoveryHandle> handle, TxnId* next_txn_id,
-               std::function<void()> on_complete);
-
-  /// Foreground gates (see RecoveryGate). After the background pass
-  /// finished, both return its terminal status — a failed instant restart
-  /// poisons every gated entry point.
-  Status WaitForObject(ObjectId ob);
-  Status WaitForAll();
-
-  /// Blocks until the background pass finished; its terminal status.
-  Status Await();
-
-  bool done() const { return done_.load(std::memory_order_acquire); }
-
-  /// Stops the background pass: wakes every gate waiter with `reason`,
-  /// requests cancellation, joins the worker (idempotent). The handle, if
-  /// still pending, learns of the failure.
-  void Cancel(const Status& reason);
-
-  OnDemandRedo* ondemand() { return ondemand_.get(); }
-
- private:
-  void BackgroundPass();
-  Status RunBackgroundUndo();
-  Status DrainRemainingRedo();
-  void Finish(Status status);
-  void SetBacklogGauge();
-
-  const Options options_;
-  SimulatedDisk* disk_;
-  LogManager* log_;
-  BufferPool* pool_;
-  Stats* stats_;
-  table::TableHeap* heap_;
-  obs::Gauge* backlog_gauge_;
-
-  ForwardPassResult fwd_;
-  std::vector<std::vector<ScopeUndoTarget>> groups_;
-  std::vector<std::unordered_map<TxnId, Lsn>> group_heads_;
-  RecoveryManager::Outcome outcome_;
-
-  std::unique_ptr<OnDemandRedo> ondemand_;
-  RecoveryGate gate_;
-  std::shared_ptr<RecoveryHandle> handle_;
-  std::function<void()> on_complete_;
-
-  std::atomic<bool> cancel_{false};
-  std::atomic<bool> done_{false};
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  Status status_ = Status::OK();
-  std::thread worker_;
 };
 
 }  // namespace ariesrh

@@ -45,6 +45,15 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
 using CompensateFn =
     std::function<Status(const LogRecord& update, TxnId responsible)>;
 
+/// A restart's backward pass, counted by the pass itself: a shard's Stats
+/// cells aggregate every shard restarting concurrently. The pass runs as
+/// several group sweeps, and one group's gaps can hold another group's
+/// clusters, so a sweep given a tally credits no skipped gaps; the pass
+/// credits them once, over all of its targets (CreditSkippedGaps).
+struct PassTally {
+  std::atomic<uint64_t> examined{0};
+};
+
 /// Builds the compensation record for `update` on behalf of `responsible`,
 /// chained after `prev` on its backward chain. It carries the inverse so it
 /// replays through ApplyRecordToPage like any record: a CLR restores the

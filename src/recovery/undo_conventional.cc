@@ -7,7 +7,8 @@ namespace ariesrh {
 
 Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
                  const LogManager* log, Stats* stats,
-                 const CompensateFn& compensate, Lsn floor) {
+                 const CompensateFn& compensate, Lsn floor,
+                 PassTally* tally) {
   // Outstanding (next LSN to undo, owner); always process the maximum LSN
   // next so log accesses are monotonically decreasing.
   using Entry = std::pair<Lsn, TxnId>;
@@ -20,6 +21,9 @@ Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
     auto [lsn, txn] = todo.top();
     todo.pop();
     ++stats->recovery_backward_examined;
+    if (tally != nullptr) {
+      tally->examined.fetch_add(1, std::memory_order_relaxed);
+    }
     ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(lsn));
 
     Lsn next = kInvalidLsn;

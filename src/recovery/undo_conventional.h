@@ -27,10 +27,12 @@ namespace ariesrh {
 /// undo-next pointer; DELEGATE records encountered on a chain are traversed
 /// through the side (tor/tee) belonging to the chain's owner. Records at or
 /// below `floor` are left alone: a savepoint rollback passes the savepoint,
-/// a full rollback 0.
+/// a full rollback 0. `tally` (optional) counts the examined records for
+/// the caller.
 Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
                  const LogManager* log, Stats* stats,
-                 const CompensateFn& compensate, Lsn floor = 0);
+                 const CompensateFn& compensate, Lsn floor = 0,
+                 PassTally* tally = nullptr);
 
 }  // namespace ariesrh
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 #include <queue>
 
 #include "obs/trace.h"
@@ -23,22 +25,48 @@ struct ByRightEndDesc {
 
 }  // namespace
 
-Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
-                      const std::unordered_set<Lsn>& compensated,
-                      Lsn sweep_from, const LogManager* log, Stats* stats,
-                      const CompensateFn& compensate,
-                      std::atomic<uint64_t>* skipped) {
-  if (targets.empty()) return Status::OK();
-
+uint64_t CreditSkippedGaps(const std::vector<ScopeUndoTarget>& targets,
+                           Lsn sweep_from, Stats* stats) {
+  if (targets.empty()) return 0;
+  uint64_t total = 0;
   // Credits `n` records the sweep jumps over, going from `from` down to
   // `to`, as never read.
   const auto skip = [&](Lsn from, Lsn to, uint64_t n) {
     if (n == 0) return;
     stats->recovery_backward_skipped += n;
-    if (skipped != nullptr) skipped->fetch_add(n, std::memory_order_relaxed);
+    total += n;
     obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, from, to,
               n);
   };
+  // The sweep's clusters, newest first: a scope joins the current cluster
+  // when its right end is at or above the cluster's left end so far.
+  std::vector<std::pair<Lsn, Lsn>> spans;  // (last, first)
+  spans.reserve(targets.size());
+  for (const ScopeUndoTarget& target : targets) {
+    spans.emplace_back(target.scope.last, target.scope.first);
+  }
+  std::sort(spans.begin(), spans.end(), std::greater<>());
+  if (sweep_from > spans.front().first) {
+    skip(sweep_from, spans.front().first, sweep_from - spans.front().first);
+  }
+  Lsn bottom = spans.front().second;
+  for (const auto& [last, first] : spans) {
+    if (last < bottom) {
+      skip(bottom, last, (bottom - last) - 1);
+      bottom = first;
+    } else {
+      bottom = std::min(bottom, first);
+    }
+  }
+  return total;
+}
+
+Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
+                      const std::unordered_set<Lsn>& compensated,
+                      Lsn sweep_from, const LogManager* log, Stats* stats,
+                      const CompensateFn& compensate, PassTally* tally) {
+  if (targets.empty()) return Status::OK();
+  if (tally == nullptr) CreditSkippedGaps(targets, sweep_from, stats);
 
   // LsrScopes: constructed once, depleted in reverse scope order — a
   // priority queue sorted by scope right end, largest first (Section 3.6.2).
@@ -61,7 +89,6 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       cluster_starts(left_end_before);
 
   Lsn k = lsr_scopes.top().scope.last;
-  if (sweep_from > k) skip(sweep_from, k, sweep_from - k);
 
   while (true) {
     // (alpha-1) Admit every loser scope whose right end is the current
@@ -77,6 +104,9 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
     // (alpha-2) Examine the record; undo it if it is a loser update that has
     // not already been compensated.
     ++stats->recovery_backward_examined;
+    if (tally != nullptr) {
+      tally->examined.fetch_add(1, std::memory_order_relaxed);
+    }
     ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(k));
     if ((rec.type == LogRecordType::kUpdate || IsTableWrite(rec.type)) &&
         !compensated.contains(rec.lsn)) {
@@ -112,7 +142,6 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       if (lsr_scopes.empty()) break;
       const Lsn next = lsr_scopes.top().scope.last;
       assert(next < k && "sweep must be monotonically decreasing");
-      skip(k, next, (k - next) - 1);
       k = next;
     } else {
       assert(k > 0);
@@ -125,7 +154,7 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
                     Lsn sweep_from, const LogManager* log, Stats* stats,
-                    const CompensateFn& compensate) {
+                    const CompensateFn& compensate, PassTally* tally) {
   if (targets.empty()) return Status::OK();
 
   std::unordered_multimap<TxnId, const ScopeUndoTarget*> by_invoker;
@@ -138,6 +167,9 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
   // The rejected alternative: march over EVERY record, newest first.
   for (Lsn k = sweep_from; k >= stop; --k) {
     ++stats->recovery_backward_examined;
+    if (tally != nullptr) {
+      tally->examined.fetch_add(1, std::memory_order_relaxed);
+    }
     ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(k));
     if ((rec.type != LogRecordType::kUpdate && !IsTableWrite(rec.type)) ||
         compensated.contains(rec.lsn)) {

@@ -13,16 +13,15 @@
 //     the aborting transaction's own scopes; CLRs via UndoUpdate;
 //   * savepoint rollback (TxnManager::RollbackTo) — those scopes clipped to
 //     the records past the savepoint; CLRs via UndoUpdate;
-//   * restart undo, full (RecoveryManager) and instant (InstantRestart's
-//     background cluster groups) — clusters span every loser's scopes;
-//     CLRs via UndoUpdate;
+//   * restart undo (RecoveryManager's back half, under both restart modes) —
+//     one sweep per undo group (PartitionUndoClusters), the groups together
+//     spanning every loser's scopes; CLRs via UndoUpdate;
 //   * reenactment (reenact::Reenactor) — the losers open at a cut, undone
 //     in scratch components by applying each compensation, logging nothing.
 
 #ifndef ARIESRH_RECOVERY_UNDO_RH_H_
 #define ARIESRH_RECOVERY_UNDO_RH_H_
 
-#include <atomic>
 #include <unordered_set>
 #include <vector>
 
@@ -50,25 +49,33 @@ struct ScopeUndoTarget {
 /// pass from CLRs) are skipped.
 ///
 /// `sweep_from` is where the backward sweep conceptually starts (the end of
-/// the log during recovery); the gap down to the first cluster and the gaps
-/// between clusters are credited to `stats->recovery_backward_skipped` and,
-/// when given, to `*skipped` (the caller's own count; see UndoUpdate).
+/// the log during recovery). Without a `tally` the sweep credits its gaps
+/// (CreditSkippedGaps); with one it counts its examined records there.
 Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
                       const std::unordered_set<Lsn>& compensated,
                       Lsn sweep_from, const LogManager* log, Stats* stats,
                       const CompensateFn& compensate,
-                      std::atomic<uint64_t>* skipped = nullptr);
+                      PassTally* tally = nullptr);
+
+/// The records a cluster sweep of `targets` from `sweep_from` never reads:
+/// the gap down to the newest cluster and the gaps between clusters (maximal
+/// runs of overlapping scopes). Credits each gap to
+/// `stats->recovery_backward_skipped` and the trace (kUndoClusterSkip), and
+/// returns the total.
+uint64_t CreditSkippedGaps(const std::vector<ScopeUndoTarget>& targets,
+                           Lsn sweep_from, Stats* stats);
 
 /// Ablation baseline for the backward pass (Section 3.6.2's rejected
 /// alternative): scan EVERY record from `sweep_from` down to the oldest
 /// loser scope, matching each against the loser scopes. Compensates the
 /// same records in the same order as ScopeSweepUndo but examines every
 /// record in between, including all the winner updates the cluster sweep
-/// skips.
+/// skips. `tally` (optional) counts the examined records for the caller.
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
                     Lsn sweep_from, const LogManager* log, Stats* stats,
-                    const CompensateFn& compensate);
+                    const CompensateFn& compensate,
+                    PassTally* tally = nullptr);
 
 /// Partitions loser scopes into groups that can be undone concurrently,
 /// one ScopeSweepUndo per group. Two scopes land in the same group when any

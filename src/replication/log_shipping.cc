@@ -90,7 +90,9 @@ Status StandbyReplica::SyncFrom(const Database& primary) {
 }
 
 Result<std::unique_ptr<Database>> StandbyReplica::Promote() && {
-  ARIESRH_RETURN_IF_ERROR(db_->Recover().status());
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> restart,
+                           db_->StartRecovery());
+  ARIESRH_RETURN_IF_ERROR(restart->Await().status());
   return std::move(db_);
 }
 

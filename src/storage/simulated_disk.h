@@ -125,8 +125,10 @@ class SimulatedDisk {
   Lsn first_retained_lsn() const { return base_lsn_ + 1; }
 
   /// Archives (drops) every record with LSN < keep_from. Returns the number
-  /// of records archived. The caller (Database::ArchiveLog) is responsible
-  /// for proving recovery will never need them again.
+  /// of records archived. The caller (EngineShard::ArchiveLog) is
+  /// responsible for proving recovery will never need them again; a live
+  /// engine archives through LogManager::ArchivePrefix, which serializes it
+  /// against the log's flushes and reads.
   uint64_t ArchiveLogPrefix(Lsn keep_from);
 
   /// Positions an EMPTY log so the next appended record receives LSN

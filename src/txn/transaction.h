@@ -90,6 +90,12 @@ struct Transaction {
   /// parked waiting for the log force.
   bool terminating = false;
 
+  /// LSN of the COMMIT record once Commit appended it (under `latch`), else
+  /// kInvalidLsn. The transaction's fate is sealed in the log from then on,
+  /// although `state` stays kActive until the record is durable — so a
+  /// fuzzy checkpoint must not snapshot it as active.
+  Lsn commit_lsn = kInvalidLsn;
+
   /// Guards ob_list / last_lsn against cross-transaction observers. Lock
   /// order for two transactions (delegation): ascending TxnId.
   mutable TxnLatch latch;
@@ -122,6 +128,7 @@ struct Transaction {
     touched_by_delegation = other.touched_by_delegation;
     prepared_csn = other.prepared_csn;
     terminating = other.terminating;
+    commit_lsn = other.commit_lsn;
   }
 };
 

@@ -715,6 +715,7 @@ Status TxnManager::Commit(TxnId txn) {
     tx->terminating = true;  // from here no delegation may touch the chain
     commit_lsn = log_->Append(LogRecord::MakeCommit(txn, tx->last_lsn));
     tx->last_lsn = commit_lsn;
+    tx->commit_lsn = commit_lsn;
   }
   // Early lock release: the COMMIT record is appended, so this
   // transaction's fate is sealed in the log order — any acquirer of these

@@ -54,7 +54,8 @@ Lsn LogManager::Append(LogRecord rec) {
   entry.record = std::move(rec);
   std::unique_lock lock(mu_);
   // The tail is indexed by LSN; reserving before locking means slots can be
-  // claimed out of order, leaving transient holes that Flush and Read skip.
+  // claimed out of order, leaving transient holes: Read reports them busy,
+  // and Flush waits for them to fill.
   const size_t idx = static_cast<size_t>(
       lsn - flushed_lsn_.load(std::memory_order_relaxed) - 1);
   if (tail_.size() <= idx) tail_.resize(idx + 1);
@@ -71,26 +72,37 @@ Status LogManager::Flush(Lsn lsn) {
   uint64_t stall_ns = 0;
   {
     std::unique_lock lock(mu_);
-    const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
-    // Clamp instead of asserting: a group-commit request can race with
-    // DiscardTail, leaving a stale target beyond the (new) end of log.
-    lsn = std::min(lsn, end_lsn());
-    if (lsn == kInvalidLsn || lsn <= flushed) return Status::OK();
-    // Stop at the first unfilled slot: a concurrent appender still owns it
-    // and the durable log must stay a contiguous prefix.
-    Lsn durable = flushed;
-    while (!tail_.empty() && tail_.front().filled &&
-           tail_.front().record.lsn <= lsn) {
-      durable = tail_.front().record.lsn;
+    size_t count = 0;
+    while (true) {
+      const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
+      // Clamp instead of asserting: a group-commit request can race with
+      // DiscardTail, leaving a stale target beyond the (new) end of log.
+      lsn = std::min(lsn, end_lsn());
+      if (lsn == kInvalidLsn || lsn <= flushed) return Status::OK();
+      count = static_cast<size_t>(lsn - flushed);
+      // LSNs are reserved before their slots fill, so a concurrent appender
+      // may still own a slot at or below `lsn`. The durable log must stay a
+      // contiguous prefix, and `lsn` must not be reported durable while it
+      // is not: wait for the appender, which fills its slot without taking
+      // anything this force holds except the tail lock.
+      if (tail_.size() >= count &&
+          std::all_of(tail_.begin(), tail_.begin() + count,
+                      [](const TailEntry& entry) { return entry.filled; })) {
+        break;
+      }
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
+    batch.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
       batch.push_back(std::move(tail_.front().image));
       tail_.pop_front();
     }
-    if (!batch.empty()) {
-      disk_->AppendLogRecords(batch, &stall_ns);
-      flushed_lsn_.store(durable, std::memory_order_release);
-      obs::Emit(stats_->trace(), obs::TraceEventType::kLogFlush, durable,
-                batch.size());
-    }
+    disk_->AppendLogRecords(batch, &stall_ns);
+    flushed_lsn_.store(lsn, std::memory_order_release);
+    obs::Emit(stats_->trace(), obs::TraceEventType::kLogFlush, lsn,
+              batch.size());
   }
   // The simulated force stall is the device being busy: pay it holding only
   // the force mutex, so concurrent appenders (and readers) keep running —
@@ -274,6 +286,16 @@ Status LogManager::Rewrite(Lsn lsn, LogRecord rec) {
     return Status::OK();
   }
   return disk_->RewriteLogRecord(lsn, rec.Serialize());
+}
+
+Lsn LogManager::first_retained_lsn() const {
+  std::shared_lock lock(mu_);
+  return disk_->first_retained_lsn();
+}
+
+uint64_t LogManager::ArchivePrefix(Lsn keep_from) {
+  std::unique_lock lock(mu_);
+  return disk_->ArchiveLogPrefix(keep_from);
 }
 
 void LogManager::DiscardTail() {

@@ -95,13 +95,6 @@ class LogManager {
   /// Spawns the dedicated flusher thread (idempotent).
   void StartGroupCommit(const GroupCommitConfig& config);
 
-  /// Legacy fixed-window form: window `window_us`, default early wake.
-  void StartGroupCommit(uint64_t window_us) {
-    GroupCommitConfig config;
-    config.window_us = window_us;
-    StartGroupCommit(config);
-  }
-
   /// Stops and joins the flusher thread, waking any parked committers with
   /// IllegalState (idempotent; called by the destructor).
   void StopGroupCommit();
@@ -135,7 +128,13 @@ class LogManager {
   /// were archived); kFirstLsn until the prefix is ever archived. Lets log
   /// consumers (dumps, reenactment) bound their scans instead of probing
   /// the archived prefix record by record.
-  Lsn first_retained_lsn() const { return disk_->first_retained_lsn(); }
+  Lsn first_retained_lsn() const;
+
+  /// Archives the stable log's records below `keep_from` (see
+  /// SimulatedDisk::ArchiveLogPrefix) and returns how many were dropped.
+  /// Holds the lock that guards the disk's log, so it cannot race a
+  /// concurrent force, read, or group-commit flush.
+  uint64_t ArchivePrefix(Lsn keep_from);
 
   /// Crash: discards the volatile tail. The durable prefix is untouched.
   /// Safe against an in-flight Flush (serializes after it) and wakes any

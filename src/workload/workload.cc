@@ -197,7 +197,9 @@ void WorkloadDriver::CrashOnly() {
 
 Status WorkloadDriver::CrashRecoverVerify() {
   CrashOnly();
-  ARIESRH_RETURN_IF_ERROR(db_->Recover().status());
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> restart,
+                           db_->StartRecovery());
+  ARIESRH_RETURN_IF_ERROR(restart->Await().status());
   return Verify();
 }
 

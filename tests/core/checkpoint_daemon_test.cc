@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -56,7 +59,7 @@ TEST(CheckpointDaemonTest, RecordGrowthTriggersCheckpoints) {
   EXPECT_GE(db.stats().checkpoints_taken.value(), 1u);
   // The background checkpoint is a real recovery anchor.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_NE(outcome->checkpoint_used, 0u);
   EXPECT_EQ(*db.ReadCommitted(7), 10);
@@ -110,7 +113,7 @@ TEST(CheckpointDaemonTest, AutoArchiveReclaimsThePrefix) {
   EXPECT_EQ(db.stats().archived_records.value(), digest.records_archived);
   // Recovery from the shortened log still reproduces the state.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), 15);
 }
 
@@ -132,8 +135,54 @@ TEST(CheckpointDaemonTest, ContinuousOperationUnderLoad) {
   });
   ASSERT_TRUE(cycled) << db.checkpoint_daemon()->digest().ToString();
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), committed);
+}
+
+TEST(CheckpointDaemonTest, AutoArchiveUnderGroupCommitLoad) {
+  // Auto-archiving drops the stable log's prefix while the group-commit
+  // flusher appends to it and committers force through it. Both sides go
+  // through the log manager's lock; run them against each other.
+  Options options;
+  options.checkpoint_interval_records = 16;
+  options.auto_archive = true;
+  options.group_commit = true;
+  options.group_commit_policy = GroupCommitPolicy::kAdaptive;
+  Database db(options);
+  constexpr int kWorkers = 3;
+  std::atomic<bool> stop{false};
+  std::vector<int> committed(kWorkers, 0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      const ObjectId ob = 100 + static_cast<ObjectId>(w);
+      while (!stop.load(std::memory_order_relaxed)) {
+        Result<TxnId> t = db.Begin();
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        ASSERT_TRUE(db.Add(*t, ob, 1).ok());
+        ASSERT_TRUE(db.Commit(*t).ok());
+        ++committed[w];
+      }
+    });
+  }
+  // Flushing pages lets the checkpoints' redo point, and so the archived
+  // prefix, advance while the workers keep committing.
+  const bool cycled = WaitFor([&db] {
+    EXPECT_TRUE(db.buffer_pool()->FlushAll().ok());
+    const CheckpointDaemon::Digest d = db.checkpoint_daemon()->digest();
+    return d.checkpoints >= 3 && d.records_archived > 0;
+  });
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& worker : workers) worker.join();
+  ASSERT_TRUE(cycled) << db.checkpoint_daemon()->digest().ToString();
+
+  db.SimulateCrash();
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(*db.ReadCommitted(100 + static_cast<ObjectId>(w)),
+              committed[w])
+        << "worker " << w;
+  }
 }
 
 TEST(CheckpointDaemonTest, CrashStopsAndRecoverRestartsTheDaemon) {
@@ -146,7 +195,7 @@ TEST(CheckpointDaemonTest, CrashStopsAndRecoverRestartsTheDaemon) {
   // The daemon is volatile state: gone with the crash, no background
   // checkpoints against a crashed engine.
   EXPECT_EQ(db.checkpoint_daemon(), nullptr);
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   ASSERT_NE(db.checkpoint_daemon(), nullptr);
   EXPECT_TRUE(db.checkpoint_daemon()->digest().running);
 

@@ -9,6 +9,7 @@
 #include "core/database.h"
 #include "table/heap_page.h"
 #include "table/table_heap.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -96,7 +97,7 @@ TEST(OptionsValidateTest, InvalidShardingMakesDatabaseInert) {
   options.enable_coordinator = false;
   Database db(options);
   EXPECT_TRUE(db.Begin().status().IsInvalidArgument());
-  EXPECT_TRUE(db.Recover().status().IsInvalidArgument());
+  EXPECT_TRUE(RestartAndAwait(&db).status().IsInvalidArgument());
 }
 
 TEST(OptionsValidateTest, ParallelRecoveryThreadsAreValid) {
@@ -111,7 +112,7 @@ TEST(OptionsValidateTest, InvalidOptionsMakeDatabaseInert) {
   Database db(options);
   EXPECT_TRUE(db.Begin().status().IsInvalidArgument());
   EXPECT_TRUE(db.Sync().IsInvalidArgument());
-  EXPECT_TRUE(db.Recover().status().IsInvalidArgument());
+  EXPECT_TRUE(RestartAndAwait(&db).status().IsInvalidArgument());
   EXPECT_TRUE(db.ReadCommitted(1).status().IsInvalidArgument());
 }
 

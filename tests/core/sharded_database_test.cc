@@ -14,6 +14,7 @@
 #include "core/engine_shard.h"
 #include "obs/observability.h"
 #include "replication/log_shipping.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -112,7 +113,7 @@ TEST(ShardedDatabaseTest, LazySecondPhaseResolvesInDoubtCommitted) {
   ASSERT_TRUE(db.Set(t, b, 2).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->in_doubt_committed, 2u);  // one per participating shard
   EXPECT_EQ(outcome->in_doubt_aborted, 0u);
@@ -156,7 +157,7 @@ TEST(ShardedDatabaseTest, DelegatedUpdatesSurviveCrashRecovery) {
   ASSERT_TRUE(db.Commit(tee).ok());
   // tor is an (empty) active loser at the crash.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(a), 3);
   EXPECT_EQ(*db.ReadCommitted(b), 4);
 }
@@ -306,7 +307,7 @@ TEST(ShardedDatabaseTest, PoisonedFacadeDemandsCrashRecovery) {
   EXPECT_TRUE(db.ReadCommitted(a).status().IsIllegalState());
   db.SimulateCrash();
   EXPECT_FALSE(db.poisoned());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   // No durable coordinator COMMIT: the undecided transfer was voided and
   // both parties died as active losers — nothing half-applied survives.
   EXPECT_EQ(*db.ReadCommitted(a), 0);
@@ -322,7 +323,7 @@ TEST(ShardedDatabaseTest, TxnIdsStayGloballyUniqueAcrossRestart) {
   ASSERT_TRUE(db.Set(t1, b, 2).ok());
   ASSERT_TRUE(db.Commit(t1).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t1);
   // The coordinator's csn counter re-seeds past the durable records too:
@@ -377,9 +378,10 @@ TEST(ShardedDatabaseTest, ShardedSaveOpenRoundTrips) {
 
 TEST(ShardedDatabaseTest, MergedRestartOutcomeCountsEachShardOnce) {
   // Every shard's Stats fields feed the shared aggregate cell, and the
-  // shards restart concurrently — so a shard must count its own Outcome,
-  // not read it off that cell. The merged Outcome then equals the sum of
-  // the per-shard mirror cells, under both restart modes.
+  // shards restart concurrently — so a shard must count its own Outcome and
+  // trace figures, not read them off that cell. The merged Outcome and the
+  // traced undo passes then equal the sums of the per-shard mirror cells,
+  // under both restart modes.
   const std::string path =
       ::testing::TempDir() + "/ariesrh_sharded_outcome.ariesrh";
   Options four = ShardedOptions(4);
@@ -426,6 +428,17 @@ TEST(ShardedDatabaseTest, MergedRestartOutcomeCountsEachShardOnce) {
     EXPECT_EQ(outcome->records_skipped,
               shard_sum(db, "recovery_backward_skipped"));
     EXPECT_EQ(outcome->records_redone, shard_sum(db, "recovery_redos"));
+    // The trace's undo-pass events count each shard's own pass too.
+    uint64_t traced_examined = 0;
+    for (const obs::TraceEvent& event : db.trace()->Snapshot()) {
+      if (event.type == obs::TraceEventType::kRecoveryPassEnd &&
+          event.a == static_cast<uint64_t>(obs::RecoveryPassKind::kUndo)) {
+        traced_examined += event.b;
+      }
+    }
+    EXPECT_GT(traced_examined, 0u);
+    EXPECT_EQ(traced_examined,
+              shard_sum(db, "recovery_backward_examined"));
   }
   for (size_t i = 0; i < 4; ++i) {
     std::remove(Database::ShardImagePath(path, i).c_str());
@@ -475,7 +488,7 @@ TEST(ShardedDatabaseTest, FacadeAtOneShardMatchesBareEngineShardOutcome) {
     EXPECT_TRUE(db.Checkpoint().ok());
     EXPECT_TRUE(db.Set(t1, 3, 30).ok());
     db.SimulateCrash();
-    return *db.Recover();
+    return *RestartAndAwait(&db);
   };
   auto run_shard = [] {
     obs::Observability obs;
@@ -490,7 +503,10 @@ TEST(ShardedDatabaseTest, FacadeAtOneShardMatchesBareEngineShardOutcome) {
     EXPECT_TRUE(shard.Checkpoint().ok());
     EXPECT_TRUE(shard.Set(t1, 3, 30).ok());
     shard.SimulateCrash();
-    return *shard.Recover();
+    std::shared_ptr<RecoveryHandle> handle =
+        RecoveryHandle::Pending(RecoveryMode::kFull, 1);
+    EXPECT_TRUE(shard.Restart(nullptr, handle).ok());
+    return *handle->Await();
   };
   const RecoveryManager::Outcome facade = run_facade();
   const RecoveryManager::Outcome bare = run_shard();

@@ -1,6 +1,7 @@
 // Co-transactions synthesized from delegation (paper Section 2.2).
 
 #include "etm/cotransaction.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -73,7 +74,7 @@ TEST_F(CoTransactionTest, CrashDuringPingPongLosesUncommittedWork) {
   ASSERT_TRUE(pair.Yield().ok());
   ASSERT_TRUE(db_.Set(pair.active(), 2, 20).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }

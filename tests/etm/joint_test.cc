@@ -1,6 +1,7 @@
 // Joint transactions synthesized from delegation + dependencies.
 
 #include "etm/joint.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ TEST_F(JointTest, NothingDurableUntilGroupCommit) {
   ASSERT_TRUE(db_.Set(m1, 1, 10).ok());
   ASSERT_TRUE(group.Finish(m1).ok());  // member committed...
   db_.SimulateCrash();                 // ...but the anchor had not
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
 }
 
@@ -90,7 +91,7 @@ TEST_F(JointTest, GroupSurvivesCrashOnlyAfterCommitAll) {
     // Group never commits before the crash.
   }
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 

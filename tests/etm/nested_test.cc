@@ -1,6 +1,7 @@
 // Nested transactions synthesized from delegation (paper Section 2.2.2).
 
 #include "etm/nested.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,7 @@ TEST_F(NestedTest, ChildCommitDelegatesUpward) {
   // now responsible.
   EXPECT_TRUE(db_.txn_manager()->Find(root)->IsResponsibleFor(1));
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);  // root was a loser
 }
 
@@ -34,7 +35,7 @@ TEST_F(NestedTest, RootCommitMakesEverythingDurable) {
   ASSERT_TRUE(db_.Set(root, 2, 20).ok());
   ASSERT_TRUE(nested_.Commit(root).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 20);
 }
@@ -163,7 +164,7 @@ TEST_F(NestedTest, NestedWorkSurvivesCrashOnlyAfterRootCommit) {
   ASSERT_TRUE(nested_.Commit(child2).ok());  // root2 never commits
 
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }

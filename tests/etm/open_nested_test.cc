@@ -1,6 +1,7 @@
 // Open nested transactions: early release + compensation.
 
 #include "etm/open_nested.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +39,7 @@ TEST_F(OpenNestedTest, EarlyCommittedWorkSurvivesCrashEvenIfParentPending) {
   OpenNestedTransaction txn = *OpenNestedTransaction::Create(&db_);
   ASSERT_TRUE(ReserveStock(&txn, 1, 3).ok());
   db_.SimulateCrash();  // parent was still active
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), -3);  // unlike closed nesting!
 }
 
@@ -140,7 +141,7 @@ TEST_F(OpenNestedTest, CompensationsSurviveCrashOnlyIfRun) {
   OpenNestedTransaction txn = *OpenNestedTransaction::Create(&db_);
   ASSERT_TRUE(ReserveStock(&txn, 1, 3).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), -3);
   // The application re-runs its compensation after recovery.
   TxnId comp = *db_.Begin();

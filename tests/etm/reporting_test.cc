@@ -1,6 +1,7 @@
 // Reporting transactions synthesized from delegation (paper Section 2.2).
 
 #include "etm/reporting.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,7 @@ TEST_F(ReportingTest, PublishMakesTentativeResultsPermanent) {
   // The result is durable even though the worker is still running.
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
 }
 

@@ -1,6 +1,7 @@
 // Split/Join transactions synthesized from delegation (paper Section 2.2.1).
 
 #include "etm/split.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -104,7 +105,7 @@ TEST_F(SplitTest, SplitSurvivesCrashWithDelegateeCommit) {
   TxnId t2 = *split_.Split(t1, {1});
   ASSERT_TRUE(db_.Commit(t2).ok());
   db_.SimulateCrash();  // t1 still active -> loser
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }

@@ -8,6 +8,7 @@
 #include "core/database.h"
 #include "eos/eos_engine.h"
 #include "util/random.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -86,7 +87,7 @@ std::map<ObjectId, int64_t> RunOnAries(const std::vector<Action>& history,
     }
   }
   db.SimulateCrash();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(&db).ok());
   std::map<ObjectId, int64_t> out;
   for (ObjectId ob = 0; ob < kMaxObject; ++ob) {
     out[ob] = *db.ReadCommitted(ob);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -103,7 +104,7 @@ std::vector<int64_t> RunWorkloadThroughCrash(const Options& options) {
   }
 
   db.SimulateCrash();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(&db).ok());
   std::vector<int64_t> values;
   for (ObjectId ob : obs) values.push_back(*db.ReadCommitted(ob));
   return values;

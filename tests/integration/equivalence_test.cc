@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "util/random.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -38,7 +39,7 @@ std::map<ObjectId, int64_t> RunWorkload(Database& db, uint64_t seed,
   }
   if (crash) {
     db.SimulateCrash();
-    EXPECT_TRUE(db.Recover().ok());
+    EXPECT_TRUE(RestartAndAwait(&db).ok());
   }
   std::map<ObjectId, int64_t> values;
   for (ObjectId ob = 0; ob < 10; ++ob) {
@@ -119,7 +120,7 @@ TEST(EfficiencyInvariantsTest, RhRecoveryUsesExactlyTwoPasses) {
   ASSERT_TRUE(db.Commit(t0).ok());
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(db.stats().Delta(before).recovery_passes, 2u);
 }
 
@@ -142,7 +143,7 @@ TEST(EfficiencyInvariantsTest, BackwardSweepIsMonotoneAndSkipsWinners) {
 
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   const Stats delta = db.stats().Delta(before);
   // Two single-record clusters: the sweep examines almost nothing and
   // skips the winner middle entirely.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -108,7 +109,7 @@ TEST_F(PaperExamplesTest, BothViewsAgreeOnRecoveryOutcome) {
     ASSERT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({a})).ok());
     ASSERT_TRUE(db.Commit(t2).ok());
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(&db).ok());
     EXPECT_EQ(*db.ReadCommitted(a), 12) << DelegationModeName(mode);
     EXPECT_EQ(*db.ReadCommitted(b), 0) << DelegationModeName(mode);
   }

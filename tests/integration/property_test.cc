@@ -10,6 +10,7 @@
 #include "core/database.h"
 #include "core/oracle.h"
 #include "util/random.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -139,7 +140,7 @@ TEST_P(PropertyTest, CrashAfterPrefixMatchesOracle) {
 
   db.SimulateCrash();
   oracle.Crash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   for (const auto& [ob, expected] : oracle.ExpectedValues()) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "object " << ob;
@@ -162,11 +163,11 @@ TEST_P(PropertyTest, DoubleCrashAfterPrefixMatchesOracle) {
   }
   db.SimulateCrash();
   oracle.Crash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   // Crash again immediately: recovery's own log records (CLRs, ENDs) must
   // recover idempotently.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   for (const auto& [ob, expected] : oracle.ExpectedValues()) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "object " << ob;
   }
@@ -230,7 +231,7 @@ TEST_P(RandomizedPropertyTest, AllModesMatchOracleOnRandomHistory) {
 
     db.SimulateCrash();
     oracle.Crash();
-    ASSERT_TRUE(db.Recover().ok()) << DelegationModeName(mode);
+    ASSERT_TRUE(RestartAndAwait(&db).ok()) << DelegationModeName(mode);
     for (const auto& [ob, expected] : oracle.ExpectedValues()) {
       ASSERT_EQ(*db.ReadCommitted(ob), expected)
           << DelegationModeName(mode) << " seed " << GetParam() << " object "

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -40,7 +41,7 @@ TEST_F(ArchiveTest, ArchivesCommittedPrefixAfterCheckpoint) {
   EXPECT_GT(*archived, 50u);  // 20 txns x (BEGIN, UPDATE, COMMIT, END)
   // Recovery still works from the shortened log.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(7), 20);
 }
 
@@ -56,7 +57,7 @@ TEST_F(ArchiveTest, ActiveTransactionPinsItsBegin) {
   EXPECT_LE(db_.disk()->first_retained_lsn(), old_begin);
   ASSERT_TRUE(db_.Abort(old_txn).ok());  // undo still finds its records
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 20);
 }
@@ -96,7 +97,7 @@ TEST_F(ArchiveTest, ArchiveThenCrashRecoverWithDelegation) {
   ASSERT_TRUE(db_.ArchiveLog().ok());
 
   db_.SimulateCrash();  // tee is a loser; its scope's record was pinned
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 10);
 }
@@ -191,7 +192,7 @@ TEST_F(ArchiveTest, DelegationRacingArchiveNeverDropsTheScope) {
   // Both parties die in the crash; whoever holds the scope is a loser and
   // undo must still find the pinned record.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 10);
 }
@@ -220,7 +221,7 @@ TEST_F(ArchiveTest, WorkAndArchivingInterleave) {
     ASSERT_TRUE(db_.ArchiveLog().ok());
   }
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(7), 50);
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/database.h"
 #include "wal/log_record.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -131,7 +135,7 @@ TEST(CheckpointTest, RecoveryStartsFromCheckpoint) {
   ASSERT_TRUE(db.Set(t2, 3, 33).ok());
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_NE(outcome->checkpoint_used, 0u);
   EXPECT_EQ(outcome->losers, 1u);
@@ -153,7 +157,7 @@ TEST(CheckpointTest, ScopesSurviveThroughCheckpoint) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -167,7 +171,7 @@ TEST(CheckpointTest, LoserScopesFromCheckpointAreUndone) {
   ASSERT_TRUE(db.Commit(t0).ok());  // invoker commits, but...
 
   db.SimulateCrash();  // ...the delegatee is a loser
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 0);
 }
 
@@ -177,7 +181,7 @@ TEST(CheckpointTest, NextTxnIdRestoredFromCheckpoint) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Checkpoint().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t1);
 }
@@ -190,11 +194,11 @@ TEST(CheckpointTest, CheckpointAfterRecoveryOption) {
   ASSERT_TRUE(db.Set(t1, 1, 5).ok());
   ASSERT_TRUE(db.Commit(t1).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_NE(db.disk()->master_record(), 0u);
   // A second crash recovers from the post-recovery checkpoint.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_NE(outcome->checkpoint_used, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 5);
@@ -210,7 +214,7 @@ TEST(CheckpointTest, RepeatedCheckpointsUseLatest) {
   }
   const Lsn master = db.disk()->master_record();
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->checkpoint_used, master);
   for (int round = 0; round < 3; ++round) {
@@ -254,10 +258,39 @@ TEST(CheckpointWindowTest, CommitInsideWindowSurvives) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 11);
+}
+
+TEST(CheckpointWindowTest, CommitForceInFlightBeforeBeginSurvives) {
+  // The COMMIT record is appended before CKPT_BEGIN, but its group-commit
+  // force is still waiting out the window when the snapshot is taken, so
+  // the transaction still looks active. Analysis starts at CKPT_BEGIN and
+  // never sees that COMMIT: a snapshot listing the transaction as active
+  // makes restart undo an acknowledged commit.
+  Options options;
+  options.group_commit = true;
+  options.group_commit_window_us = 200000;
+  Database db(options);
+  Status committed = Status::OK();
+  std::thread committer([&db, &committed] {
+    Result<TxnId> t = db.Begin();
+    committed = t.status();
+    if (committed.ok()) committed = db.Add(*t, 7, 1);
+    if (committed.ok()) committed = db.Commit(*t);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(db.Checkpoint().ok());
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+
+  db.SimulateCrash();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->losers, 0u);
+  EXPECT_EQ(*db.ReadCommitted(7), 1);
 }
 
 TEST(CheckpointWindowTest, AbortInsideWindowStaysAborted) {
@@ -271,7 +304,7 @@ TEST(CheckpointWindowTest, AbortInsideWindowStaysAborted) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 0u);  // resolved before the crash
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -292,7 +325,7 @@ TEST(CheckpointWindowTest, UpdateInsideWindowBySnapshottedLoserIsUndone) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -311,7 +344,7 @@ TEST(CheckpointWindowTest, UpdateInsideWindowThenCommitSurvives) {
   ASSERT_TRUE(db.Commit(t).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 11);
   EXPECT_EQ(*db.ReadCommitted(2), 22);
 }
@@ -332,7 +365,7 @@ TEST(CheckpointWindowTest, BeginInsideWindowIsRecovered) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(3), 0);
@@ -359,7 +392,7 @@ TEST(CheckpointWindowTest, DelegateAfterSnapshotIsReplayed) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -383,7 +416,7 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 
   // And the loser flavor: delegatee dies with the scope.
@@ -401,7 +434,7 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   ASSERT_TRUE(db2.Commit(s0).ok());
 
   db2.SimulateCrash();  // s1 is the loser; the delegated update dies
-  ASSERT_TRUE(db2.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db2).ok());
   EXPECT_EQ(*db2.ReadCommitted(5), 0);
 }
 
@@ -438,7 +471,7 @@ TEST(CheckpointWindowTest, CrashBeforeCkptEndIgnoresTheHalfCheckpoint) {
   crashed.disk()->AppendLogRecords(prefix);
   crashed.disk()->SetMasterRecord(first_master);
 
-  Result<RecoveryManager::Outcome> outcome = crashed.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&crashed);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->checkpoint_used, first_master);
   EXPECT_EQ(*crashed.ReadCommitted(1), 11);

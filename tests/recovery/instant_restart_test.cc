@@ -9,7 +9,7 @@
 // the same image; (2) reads served before the drain are already correct
 // (on-demand redo) and never expose un-undone loser values (the gate);
 // (3) blocked-scope writes wait rather than error; (4) a failed background
-// pass poisons the facade until SimulateCrash()+Recover().
+// pass poisons the facade until SimulateCrash()+StartRecovery().
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 
 #include "core/database.h"
 #include "table/table_heap.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -84,36 +85,93 @@ TEST(InstantRestartTest, FreshOpenReturnsTerminalHandle) {
 }
 
 TEST(InstantRestartTest, InstantOpenMatchesFullAfterAwait) {
-  const std::string path = TempPath("instant_equivalence");
-  std::map<ObjectId, int64_t> truth;
-  {
-    Database db;
-    truth = BuildClusteredHistory(&db, 4, 24);
-    ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    ASSERT_TRUE(db.SaveTo(path).ok());
-  }
+  for (size_t shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string path = TempPath("instant_equivalence");
+    std::map<ObjectId, int64_t> truth;
+    {
+      Database db(InstantOptions(shards));
+      truth = BuildClusteredHistory(&db, 4, 24);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      if (shards > 1) {
+        // Two rounds left in doubt: one the coordinator committed whose
+        // lazy second phase never became durable, and one stopped after its
+        // first PREPARE (presumed abort). That PREPARE's force makes the
+        // first round durable on its shard, so each verdict lands on one.
+        ObjectId a = 0;
+        ObjectId b = 0;
+        for (ObjectId ob = ObjectId{1} << 21; a == 0 || b == 0; ++ob) {
+          if (db.ShardOf(ob) == 0 && a == 0) a = ob;
+          if (db.ShardOf(ob) == 1 && b == 0) b = ob;
+        }
+        TxnId committed = *db.Begin();
+        ASSERT_TRUE(db.Set(committed, a, 11).ok());
+        ASSERT_TRUE(db.Set(committed, b, 22).ok());
+        ASSERT_TRUE(db.Commit(committed).ok());
+        truth[a] = 11;
+        truth[b] = 22;
+        TxnId stopped = *db.Begin();
+        ASSERT_TRUE(db.Set(stopped, a + 1024, 5).ok());
+        ASSERT_TRUE(db.Set(stopped, b + 1024, 5).ok());
+        db.set_protocol_test_hook([](const std::string& at) {
+          return at.rfind("2pc:before-prepare:", 0) == 0 &&
+                         at != "2pc:before-prepare:0"
+                     ? Status::IOError("injected stop")
+                     : Status::OK();
+        });
+        EXPECT_FALSE(db.Commit(stopped).ok());
+        truth[a + 1024] = 0;
+        truth[b + 1024] = 0;
+      }
+      ASSERT_TRUE(db.SaveTo(path).ok());
+    }
 
-  // Ground truth via the classic blocking restart.
-  Result<Database::OpenResult> full = Database::Open({}, path);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  for (const auto& [ob, expected] : truth) {
-    EXPECT_EQ(*full->db->ReadCommitted(ob), expected) << "kFull ob " << ob;
-  }
+    // Ground truth via the blocking restart: the same pipeline, run to
+    // completion before the open returns.
+    Options full_options = InstantOptions(shards);
+    full_options.recovery_mode = RecoveryMode::kFull;
+    Result<Database::OpenResult> full = Database::Open(full_options, path);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    EXPECT_TRUE(full->recovery->done());
+    Result<RecoveryManager::Outcome> full_outcome = full->recovery->Await();
+    ASSERT_TRUE(full_outcome.ok()) << full_outcome.status().ToString();
+    for (const auto& [ob, expected] : truth) {
+      EXPECT_EQ(*full->db->ReadCommitted(ob), expected) << "kFull ob " << ob;
+    }
 
-  Result<Database::OpenResult> instant =
-      Database::Open(InstantOptions(), path);
-  ASSERT_TRUE(instant.ok()) << instant.status().ToString();
-  EXPECT_EQ(instant->recovery->mode(), RecoveryMode::kInstant);
-  EXPECT_FALSE(instant->db->NeedsRecovery());
-  Result<RecoveryManager::Outcome> outcome = instant->recovery->Await();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_TRUE(instant->recovery->done());
-  EXPECT_EQ(outcome->losers, 4u);
-  for (const auto& [ob, expected] : truth) {
-    EXPECT_EQ(*instant->db->ReadCommitted(ob), expected)
-        << "kInstant ob " << ob;
+    Result<Database::OpenResult> instant =
+        Database::Open(InstantOptions(shards), path);
+    ASSERT_TRUE(instant.ok()) << instant.status().ToString();
+    EXPECT_EQ(instant->recovery->mode(), RecoveryMode::kInstant);
+    EXPECT_FALSE(instant->db->NeedsRecovery());
+    Result<RecoveryManager::Outcome> outcome = instant->recovery->Await();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_TRUE(instant->recovery->done());
+    for (const auto& [ob, expected] : truth) {
+      EXPECT_EQ(*instant->db->ReadCommitted(ob), expected)
+          << "kInstant ob " << ob;
+    }
+    // Both modes run one pipeline, so they agree on what restart did, not
+    // just on the state it left.
+    EXPECT_EQ(outcome->winners, full_outcome->winners);
+    EXPECT_EQ(outcome->losers, full_outcome->losers);
+    EXPECT_EQ(outcome->records_undone, full_outcome->records_undone);
+    EXPECT_EQ(outcome->clusters_swept, full_outcome->clusters_swept);
+    EXPECT_EQ(outcome->in_doubt_committed, full_outcome->in_doubt_committed);
+    EXPECT_EQ(outcome->in_doubt_aborted, full_outcome->in_doubt_aborted);
+    EXPECT_GT(outcome->records_undone, 0u);
+    if (shards == 1) {
+      EXPECT_EQ(outcome->losers, 4u);
+      EXPECT_EQ(outcome->clusters_swept, 4u);
+    } else {
+      EXPECT_EQ(outcome->in_doubt_committed, 1u);
+      EXPECT_EQ(outcome->in_doubt_aborted, 1u);
+    }
+    for (size_t i = 0; i < shards; ++i) {
+      std::remove(Database::ShardImagePath(path, i).c_str());
+    }
+    std::remove((path + ".coord").c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(InstantRestartTest, OnDemandRedoServesReadsBeforeTheDrain) {
@@ -257,7 +315,7 @@ TEST(InstantRestartTest, FailedBackgroundUndoPoisonsTheFacade) {
   // The documented remedy converges to the kFull ground truth.
   db.SimulateCrash();
   db.mutable_options()->faults = FaultInjection{};
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   for (const auto& [ob, expected] : truth) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "ob " << ob;
   }
@@ -314,7 +372,7 @@ TEST(InstantRestartTest, MidProtocolStopDuringBackgroundUndoPoisons) {
   // (awaited) reaches the ground truth: backdrop survives, losers gone.
   db.SimulateCrash();
   EXPECT_FALSE(db.poisoned());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(a), 100);
   EXPECT_EQ(*db.ReadCommitted(b), 100);
   EXPECT_EQ(*db.ReadCommitted(a + 1024), 0);
@@ -395,26 +453,9 @@ TEST(InstantRestartTest, OpenFromBackupHonorsBothModes) {
   // The legacy in-place sequence keeps working as a tested wrapper.
   source.SimulateMediaFailure();
   ASSERT_TRUE(source.RestoreFromBackup(*backup).ok());
-  ASSERT_TRUE(source.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&source).ok());
   EXPECT_EQ(*source.ReadCommitted(1), 10);
   EXPECT_EQ(*source.ReadCommitted(3), 30);  // log survived the media failure
-}
-
-TEST(InstantRestartTest, RecoverShimBlocksUnderInstantMode) {
-  Database db(InstantOptions());
-  std::map<ObjectId, int64_t> truth = BuildClusteredHistory(&db, 3, 16);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  db.SimulateCrash();
-  EXPECT_TRUE(db.NeedsRecovery());
-  // The deprecated shim starts the instant restart and Await()s it.
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_FALSE(db.NeedsRecovery());
-  ASSERT_NE(db.recovery_handle(), nullptr);
-  EXPECT_TRUE(db.recovery_handle()->done());
-  for (const auto& [ob, expected] : truth) {
-    EXPECT_EQ(*db.ReadCommitted(ob), expected) << "ob " << ob;
-  }
 }
 
 TEST(InstantRestartTest, StartRecoveryExposesTheLiveHandle) {

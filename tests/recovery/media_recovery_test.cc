@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -23,7 +24,7 @@ TEST_F(MediaRecoveryTest, RestoreExactBackupState) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(*backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
 }
 
@@ -44,7 +45,7 @@ TEST_F(MediaRecoveryTest, RollsForwardPastTheBackup) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 20);
   EXPECT_EQ(*db_.ReadCommitted(2), 5);  // loser's 100 rolled back
 }
@@ -61,7 +62,7 @@ TEST_F(MediaRecoveryTest, DelegationInReplayedSuffix) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 42);
 }
 
@@ -77,7 +78,7 @@ TEST_F(MediaRecoveryTest, DelegationStateInsideTheBackup) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   // The delegatee never committed: the update dies with it.
   EXPECT_EQ(*db_.ReadCommitted(5), 0);
 }
@@ -120,7 +121,7 @@ TEST_F(MediaRecoveryTest, RepeatedBackupsUseLatest) {
   }
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backups[2]).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 3);
 }
 
@@ -133,7 +134,7 @@ TEST_F(MediaRecoveryTest, OlderBackupAlsoRecoversViaLongerReplay) {
   }
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(old_backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 20);
 }
 
@@ -144,13 +145,13 @@ TEST_F(MediaRecoveryTest, CrashAfterMediaRecoveryIsNormalRecovery) {
   ASSERT_TRUE(db_.Commit(t).ok());
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   // Continue working, then a plain crash.
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t2, 2, 9).ok());
   ASSERT_TRUE(db_.Commit(t2).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 7);
   EXPECT_EQ(*db_.ReadCommitted(2), 9);
 }

@@ -15,6 +15,7 @@
 
 #include "core/database.h"
 #include "recovery/undo_rh.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -204,14 +205,14 @@ TEST_P(ParallelCrashMatrixTest, InterruptedParallelRecoveryConverges) {
   } else {
     db->mutable_options()->faults.crash_after_undo_steps = crash_after;
   }
-  Result<RecoveryManager::Outcome> first = db->Recover();
+  Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
   EXPECT_TRUE(db->NeedsRecovery());
 
   // Clean retry converges to the serial state.
   db->mutable_options()->faults = FaultInjection{};
-  Result<RecoveryManager::Outcome> second = db->Recover();
+  Result<RecoveryManager::Outcome> second = RestartAndAwait(db);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->winners, serial.outcome.winners);
   EXPECT_EQ(second->losers, serial.outcome.losers);

@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -99,7 +100,7 @@ TEST_P(BaselineEquivalenceTest, AllModesAgreeAfterRecovery) {
     Database db(options);
     scenario.run(db);
     db.SimulateCrash();
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
     ASSERT_TRUE(outcome.ok())
         << DelegationModeName(mode) << ": " << outcome.status().ToString();
     for (ObjectId ob : scenario.objects) {
@@ -178,7 +179,7 @@ TEST(BaselineCostTest, LazyRewriteDefersCostToRecovery) {
   ASSERT_TRUE(db.Commit(t1).ok());
   db.SimulateCrash();
   const Stats before_recovery = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   // Recovery physically rewrote history.
   EXPECT_GT(db.stats().Delta(before_recovery).log_rewrites, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);

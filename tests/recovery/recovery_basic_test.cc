@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -37,7 +38,7 @@ TEST_P(RecoveryBasicTest, CommittedUpdatesSurviveCrash) {
   ASSERT_TRUE(db.Add(t, 2, 5).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->winners, 1u);
   EXPECT_EQ(outcome->losers, 0u);
@@ -58,7 +59,7 @@ TEST_P(RecoveryBasicTest, UncommittedUpdatesAreLost) {
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);
@@ -71,7 +72,7 @@ TEST_P(RecoveryBasicTest, UnflushedTailIsSimplyGone) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   // No commit, no flush: the whole transaction lives in the volatile tail.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners + outcome->losers, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -91,7 +92,7 @@ TEST_P(RecoveryBasicTest, StolenDirtyPagesAreRolledBack) {
   EXPECT_TRUE(db.disk()->HasPage(0));
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(0), 0);
   EXPECT_EQ(*db.ReadCommitted(kObjectsPerPage), 0);
 }
@@ -104,7 +105,7 @@ TEST_P(RecoveryBasicTest, NoForceCommittedPagesAreRedone) {
   ASSERT_TRUE(db.Commit(t).ok());
   EXPECT_FALSE(db.disk()->HasPage(PageOf(1)));  // never flushed
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -115,7 +116,7 @@ TEST_P(RecoveryBasicTest, AbortedBeforeCrashStaysAborted) {
   ASSERT_TRUE(db.Abort(t).ok());
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 0);
 }
 
@@ -133,7 +134,7 @@ TEST_P(RecoveryBasicTest, CrashDuringRollbackResumesViaClrs) {
   ASSERT_TRUE(db.Abort(t).ok());  // writes CLR (value back to 5) + END
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 5);  // not 5-100
 }
 
@@ -149,7 +150,7 @@ TEST_P(RecoveryBasicTest, RepeatedCrashRecoverIsIdempotent) {
 
   for (int round = 0; round < 4; ++round) {
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok()) << "round " << round;
+    ASSERT_TRUE(RestartAndAwait(&db).ok()) << "round " << round;
     EXPECT_EQ(*db.ReadCommitted(1), 10);
     EXPECT_EQ(*db.ReadCommitted(2), 3);
   }
@@ -167,7 +168,7 @@ TEST_P(RecoveryBasicTest, TornTailRecordIsDiscarded) {
   ASSERT_TRUE(db.disk()->CorruptLogTail(3).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);  // durable prefix intact
 }
 
@@ -177,14 +178,14 @@ TEST_P(RecoveryBasicTest, WorkContinuesAfterRecovery) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
 
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t);  // ids not reused
   ASSERT_TRUE(db.Set(t2, 1, 20).ok());
   ASSERT_TRUE(db.Commit(t2).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 20);
 }
 
@@ -194,13 +195,13 @@ TEST_P(RecoveryBasicTest, ApiRejectedWhileCrashed) {
   EXPECT_TRUE(db.Begin().status().IsIllegalState());
   EXPECT_TRUE(db.ReadCommitted(1).status().IsIllegalState());
   EXPECT_TRUE(db.Checkpoint().IsIllegalState());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_TRUE(db.Begin().ok());
 }
 
 TEST_P(RecoveryBasicTest, RecoverWithoutCrashRejected) {
   Database db(MakeOptions());
-  EXPECT_TRUE(db.Recover().status().IsIllegalState());
+  EXPECT_TRUE(RestartAndAwait(&db).status().IsIllegalState());
 }
 
 TEST_P(RecoveryBasicTest, ManyTransactionsMixedFates) {
@@ -219,7 +220,7 @@ TEST_P(RecoveryBasicTest, ManyTransactionsMixedFates) {
   }
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), committed_sum);
 }
 

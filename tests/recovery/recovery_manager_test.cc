@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "recovery/recovery_manager.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -51,7 +52,7 @@ TEST(TruncateTornTailTest, EntirelyGarbageLogTruncatesToEmpty) {
 TEST(RecoveryManagerTest, EmptyLogRecovery) {
   Database db;
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 0u);
   EXPECT_EQ(outcome->losers, 0u);
@@ -70,7 +71,7 @@ TEST(RecoveryManagerTest, MasterPointingAtNonCheckpointIsCorruption) {
   // Sabotage: master points at the BEGIN record.
   db.disk()->SetMasterRecord(1);
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption());
 }
@@ -84,7 +85,7 @@ TEST(RecoveryManagerTest, MasterBeyondLogEndIsIgnored) {
   // record itself was torn away) must be ignored, not fatal.
   db.disk()->SetMasterRecord(10000);
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->checkpoint_used, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 7);
@@ -103,7 +104,7 @@ TEST(RecoveryManagerTest, OutcomeCountsWinnersAndLosers) {
   }
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 3u);
   EXPECT_EQ(outcome->losers, 2u);
@@ -115,14 +116,14 @@ TEST(RecoveryManagerTest, LosersGetEndRecords) {
   ASSERT_TRUE(db.Add(loser, 1, 5).ok());
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   // The last durable record is the loser's END (after its CLR).
   LogRecord last = *db.log_manager()->Read(db.log_manager()->flushed_lsn());
   EXPECT_EQ(last.type, LogRecordType::kEnd);
   EXPECT_EQ(last.txn_id, loser);
   // A further recovery finds no losers at all.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->losers, 0u);
 }
@@ -136,7 +137,7 @@ TEST(RecoveryManagerTest, CommittedButUnendedTxnGetsEnd) {
   ASSERT_TRUE(db.Commit(t).ok());
   // The END record sits in the tail; drop it by truncating to the COMMIT.
   db.SimulateCrash();  // tail (incl. END if unflushed) discarded
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);
@@ -149,7 +150,7 @@ TEST(RecoveryManagerTest, RecoveryPassesCounted) {
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   const Stats delta = db.stats().Delta(before);
   EXPECT_EQ(delta.recovery_passes, 2u);
   EXPECT_GT(delta.recovery_forward_records, 0u);

@@ -15,6 +15,7 @@
 #include "recovery/checkpoint.h"
 #include "util/random.h"
 #include "wal/log_record.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -44,7 +45,7 @@ class TortureDriver {
   void CrashAndCheck() {
     db_->SimulateCrash();
     oracle_.Crash();
-    Result<RecoveryManager::Outcome> outcome = db_->Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db_);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     for (const auto& [ob, expected] : oracle_.ExpectedValues()) {
       Result<int64_t> got = db_->ReadCommitted(ob);
@@ -219,7 +220,7 @@ std::optional<std::vector<int64_t>> RecoverPrefix(Database* source,
   }
   copy.disk()->AppendLogRecords(prefix);
   if (master != 0) copy.disk()->SetMasterRecord(master);
-  Result<RecoveryManager::Outcome> outcome = copy.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(&copy);
   if (!outcome.ok()) {
     ADD_FAILURE() << "recover(crash=" << crash_lsn << ", master=" << master
                   << "): " << outcome.status().ToString();

@@ -7,6 +7,7 @@
 #include "core/database.h"
 #include "core/oracle.h"
 #include "util/random.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -52,7 +53,7 @@ RunResult RunOnce(DelegationMode mode, bool merged) {
 
   db.SimulateCrash();
   const Stats before = db.stats();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(&db).ok());
   const Stats delta = db.stats().Delta(before);
 
   RunResult result;
@@ -88,7 +89,7 @@ TEST_P(ThreePassTest, ThreePassSurvivesRepeatedCrashes) {
   ASSERT_TRUE(db.log_manager()->FlushAll().ok());
   for (int round = 0; round < 3; ++round) {
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok()) << "round " << round;
+    ASSERT_TRUE(RestartAndAwait(&db).ok()) << "round " << round;
     EXPECT_EQ(*db.ReadCommitted(1), 42);
     EXPECT_EQ(*db.ReadCommitted(2), 0);
   }
@@ -135,7 +136,7 @@ TEST(ThreePassOracleTest, RandomHistoryMatchesUnderBothLayouts) {
     }
     db.SimulateCrash();
     oracle.Crash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(&db).ok());
     for (const auto& [ob, expected] : oracle.ExpectedValues()) {
       EXPECT_EQ(*db.ReadCommitted(ob), expected)
           << "object " << ob << " merged=" << merged;

@@ -14,6 +14,7 @@
 #include "obs/observability.h"
 #include "replication/log_shipping.h"
 #include "wal/log_dump.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -237,7 +238,7 @@ TEST(ReenactChainTest, CrossShardDelegationSpansACrash) {
   ASSERT_TRUE(db.Commit(tee).ok());
   ASSERT_TRUE(db.Commit(tor).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
 
   Result<std::vector<TransferHop>> chain = db.ReenactTransferChain(a);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -280,7 +281,7 @@ TEST(ReenactChainTest, VoidedCrossShardLegIsMarked) {
   ASSERT_FALSE(db.Delegate(tor, tee, DelegationSpec::Objects({a, b})).ok());
   db.set_protocol_test_hook(nullptr);
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
 
   Result<std::vector<TransferHop>> chain = db.ReenactTransferChain(a);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -454,7 +455,7 @@ TEST(ReenactModeTest, CrashedEngineMustRecoverFirst) {
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
   EXPECT_FALSE(db.ReenactStateAt().ok());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_TRUE(db.ReenactStateAt().ok());
 }
 

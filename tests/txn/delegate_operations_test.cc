@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -75,7 +76,7 @@ TEST_F(DelegateOperationsTest, RangeSurvivesCrashRecovery) {
   // t is a loser at the crash: 10 and 1000 must be undone, 100 kept —
   // the forward pass must rebuild the split scopes from the ranged record.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 100);
 }
 
@@ -88,7 +89,7 @@ TEST_F(DelegateOperationsTest, RangeSplitAcrossCheckpoint) {
   ASSERT_TRUE(db_.Checkpoint().ok());  // split scopes snapshot
   ASSERT_TRUE(db_.Commit(heir).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 100);
 }
 
@@ -172,7 +173,7 @@ TEST_F(DelegateOperationsTest, ChainedRangeDelegations) {
   ASSERT_TRUE(db_.Commit(t).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 101);
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 101);
 }
 

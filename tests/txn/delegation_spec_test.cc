@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -97,7 +98,7 @@ TEST(DelegationSpecTest, SpecSurvivesCrashRecovery) {
   // t1 is a loser at the crash: its remaining update (6) must die, the
   // delegated one (5) must survive.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 10);
   EXPECT_EQ(*db.ReadCommitted(6), 0);
 }

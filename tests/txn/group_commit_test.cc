@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -40,7 +41,7 @@ TEST(GroupCommitTest, UnsyncedCommitLostToCrash) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());  // acknowledged...
   db.SimulateCrash();              // ...but never made durable
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 0);
 }
 
@@ -51,7 +52,7 @@ TEST(GroupCommitTest, SyncedCommitSurvives) {
   ASSERT_TRUE(db.Commit(t).ok());
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -66,7 +67,7 @@ TEST(GroupCommitTest, OneSyncCoversManyCommits) {
   ASSERT_TRUE(db.Sync().ok());
   EXPECT_EQ(db.stats().log_flushes, flushes_before + 1);  // the group
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 50);
 }
 
@@ -79,7 +80,7 @@ TEST(GroupCommitTest, DurabilityIsPrefixOrdered) {
   ASSERT_TRUE(db.Commit(a).ok());
   ASSERT_TRUE(db.Checkpoint().ok());  // forces the log through its record
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -104,7 +105,7 @@ TEST(GroupCommitTest, StealForcesUpdatesButNotTheCommit) {
   EXPECT_TRUE(db.disk()->HasPage(0));  // STEAL happened
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(0), 0);  // a's commit never became durable
 }
 
@@ -117,7 +118,7 @@ TEST(GroupCommitTest, DelegationUnderGroupCommit) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -154,7 +155,7 @@ TEST(GroupCommitFlusherTest, CommitIsDurableAtReturn) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -167,14 +168,14 @@ TEST(GroupCommitFlusherTest, FlusherRestartsWithRecovery) {
   ASSERT_TRUE(db.Set(t, 2, 5).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   ASSERT_TRUE(db.log_manager()->group_commit_running());
   // And the revived flusher still honors the durability contract.
   TxnId u = *db.Begin();
   ASSERT_TRUE(db.Set(u, 3, 7).ok());
   ASSERT_TRUE(db.Commit(u).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(2), 5);
   EXPECT_EQ(*db.ReadCommitted(3), 7);
 }
@@ -226,7 +227,7 @@ TEST(GroupCommitFlusherTest, BatchedCommitsAllSurviveCrash) {
   }
   for (std::thread& t : sessions) t.join();
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   for (int s = 0; s < kThreads; ++s) {
     EXPECT_EQ(*db.ReadCommitted(static_cast<ObjectId>(s)), 100 + s);
   }

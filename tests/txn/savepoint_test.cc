@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -96,7 +97,7 @@ TEST_F(SavepointTest, CrashAfterPartialRollbackRecovers) {
   ASSERT_TRUE(db_.RollbackTo(t, sp).ok());
   ASSERT_TRUE(db_.log_manager()->FlushAll().ok());
   db_.SimulateCrash();  // t is a loser; its pre-savepoint work dies too
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }
@@ -109,7 +110,7 @@ TEST_F(SavepointTest, CommitAfterPartialRollbackKeepsPrefixAcrossCrash) {
   ASSERT_TRUE(db_.RollbackTo(t, sp).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 
@@ -153,7 +154,7 @@ TEST_F(SavepointTest, DelegationAfterPartialRollbackWorksUnderRH) {
   ASSERT_TRUE(db_.Commit(heir).ok());
   ASSERT_TRUE(db_.Abort(t).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 
@@ -199,7 +200,7 @@ TEST_F(SavepointTest, ConventionalModePartialRollback) {
   EXPECT_EQ(*db.Read(t, 1), 10);
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "test_restart.h"
 
 namespace ariesrh {
 namespace {
@@ -116,7 +117,7 @@ TEST_F(LogDumpTest, ObjectHistoryResolvesDelegatedResponsibility) {
   ASSERT_TRUE(db_.Commit(tee).ok());
   ASSERT_TRUE(db_.Commit(tor).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db_).ok());
 
   Result<std::vector<ObjectHistoryEntry>> history =
       ObjectHistory(*db_.log_manager(), 5);

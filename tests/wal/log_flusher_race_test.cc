@@ -18,12 +18,19 @@
 namespace ariesrh {
 namespace {
 
+/// A fixed coalescing window of `window_us` with the default early wake.
+LogManager::GroupCommitConfig FixedWindow(uint64_t window_us) {
+  LogManager::GroupCommitConfig config;
+  config.window_us = window_us;
+  return config;
+}
+
 TEST(LogFlusherRaceTest, DiscardTailConcurrentWithInFlightForce) {
   Stats stats;
   SimulatedDisk disk(&stats);
   disk.set_log_force_stall_ns(20'000'000);  // 20ms per force: a wide window
   LogManager log(&disk, &stats);
-  log.StartGroupCommit(/*window_us=*/0);
+  log.StartGroupCommit(FixedWindow(0));
 
   const Lsn first = log.Append(LogRecord::MakeBegin(1));
   Status status_a;
@@ -64,7 +71,7 @@ TEST(LogFlusherRaceTest, DiscardTailWakesCommitterParkedInWindow) {
   LogManager log(&disk, &stats);
   // A long coalescing window pins the flusher in its straggler wait, so the
   // committer is deterministically still parked when the crash lands.
-  log.StartGroupCommit(/*window_us=*/200'000);
+  log.StartGroupCommit(FixedWindow(200'000));
 
   const Lsn lsn = log.Append(LogRecord::MakeBegin(1));
   Status status;
@@ -84,7 +91,7 @@ TEST(LogFlusherRaceTest, StopGroupCommitWakesParkedCommitters) {
   Stats stats;
   SimulatedDisk disk(&stats);
   LogManager log(&disk, &stats);
-  log.StartGroupCommit(/*window_us=*/500'000);
+  log.StartGroupCommit(FixedWindow(500'000));
 
   const Lsn lsn = log.Append(LogRecord::MakeBegin(1));
   Status status;
@@ -157,6 +164,34 @@ TEST(LogFlusherRaceTest, TailReadsAreNeverTorn) {
   EXPECT_GT(clean_reads.load(), 0u);
   // busy_reads is interleaving-dependent — any count (including zero) is
   // legitimate; what matters is that no read was ever torn.
+}
+
+TEST(LogFlusherRaceTest, FlushReturnsOnlyOnceItsRecordIsDurable) {
+  // LSNs are reserved before their tail slots fill, so a force can meet an
+  // unfilled slot below its target. It must wait for that slot: reporting
+  // the target durable while it is not would acknowledge a commit a crash
+  // then loses.
+  Stats stats;
+  SimulatedDisk disk(&stats);
+  LogManager log(&disk, &stats);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  std::atomic<int> undurable{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const Lsn lsn = log.Append(
+            LogRecord::MakeBegin(static_cast<TxnId>(t) * kPerThread + i + 1));
+        if (!log.Flush(lsn).ok() || log.flushed_lsn() < lsn) {
+          undurable.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(undurable.load(), 0);
+  EXPECT_EQ(disk.stable_end_lsn(), static_cast<Lsn>(kThreads * kPerThread));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // points, must leave identical committed values.
 
 #include "workload/scheduler.h"
+#include "test_restart.h"
 
 #include <map>
 #include <string>
@@ -137,13 +138,13 @@ std::map<ObjectId, int64_t> RunAndRecover(size_t workers,
   if (crash_after_redo > 0 || crash_after_undo > 0) {
     db.mutable_options()->faults.crash_after_redo_records = crash_after_redo;
     db.mutable_options()->faults.crash_after_undo_steps = crash_after_undo;
-    Result<RecoveryManager::Outcome> first = db.Recover();
+    Result<RecoveryManager::Outcome> first = RestartAndAwait(&db);
     EXPECT_FALSE(first.ok());
     EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
     db.mutable_options()->faults.crash_after_redo_records = 0;
     db.mutable_options()->faults.crash_after_undo_steps = 0;
   }
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(&db).ok());
 
   std::map<ObjectId, int64_t> values;
   for (ObjectId ob = 0; ob < 48; ++ob) {

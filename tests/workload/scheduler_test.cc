@@ -2,6 +2,7 @@
 // serializability of the committed outcome.
 
 #include "workload/scheduler.h"
+#include "test_restart.h"
 
 #include <gtest/gtest.h>
 
@@ -204,7 +205,7 @@ TEST_P(SchedulerSeedTest, MoneyTransferInvariantUnderAnyInterleaving) {
   ASSERT_TRUE(scheduler.Run().ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(&db).ok());
   int64_t total = 0;
   for (ObjectId account = 0; account < 6; ++account) {
     total += *db.ReadCommitted(account);

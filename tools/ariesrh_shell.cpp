@@ -394,7 +394,9 @@ bool HandleBuiltin(const std::string& line, Database* db,
     // Intercepted before the script runner so the shell can print the full
     // recovery outcome (per-pass timings, cluster stats), which the script
     // language's terse trace does not carry.
-    Result<RecoveryManager::Outcome> outcome = db->Recover();
+    Result<std::shared_ptr<RecoveryHandle>> restart = db->StartRecovery();
+    Result<RecoveryManager::Outcome> outcome =
+        restart.ok() ? (*restart)->Await() : restart.status();
     if (!outcome.ok()) {
       std::printf("error: %s\n", outcome.status().ToString().c_str());
       return true;
