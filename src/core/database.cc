@@ -463,7 +463,8 @@ Status Database::Commit(TxnId txn) {
   // Facade dependency gate, mirroring TxnManager::Commit. kCommitDurable
   // edges never reach this graph — they are shard-local (the lock manager
   // generates them), and the shard-level commit/prepare paths both force
-  // past the dependency's COMMIT record in the same shard log.
+  // past the dependency's COMMIT record in the same shard log (a read-only
+  // vote waits for it instead).
   std::vector<DependencyGraph::Prerequisite> prerequisites;
   {
     std::lock_guard deps_lock(deps_mu_);
@@ -485,20 +486,38 @@ Status Database::Commit(TxnId txn) {
     }
   }
 
-  if (route->shards.empty()) {
-    // Touched nothing: commits vacuously, no log traffic anywhere.
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
-  } else if (route->shards.size() == 1) {
-    // Single-shard: the shard's ordinary commit is the commit point.
+  // Read-only votes (presumed-abort R*): a shard where the transaction
+  // logged nothing commits there at once — no record, no force, its locks
+  // released — and leaves the route before the decision, so a retry or an
+  // abort never visits it again. A failed vote has ended the transaction on
+  // its shard without committing it (what it read was lost to a tail
+  // discard), so the transaction aborts on the shards left; if even that
+  // fails, poison, so no retry can commit it.
+  for (auto it = route->shards.begin(); it != route->shards.end();) {
+    TxnManager* shard_txns = shards_[*it]->txn_manager();
+    if (shard_txns->HasLogged(txn)) {
+      ++it;
+      continue;
+    }
+    const Status vote = shard_txns->Commit(txn);
+    it = route->shards.erase(it);
+    if (!vote.ok()) {
+      lock.unlock();
+      ARIESRH_RETURN_IF_ERROR(PoisonOnError(Abort(txn)));
+      return vote;
+    }
+  }
+  if (route->shards.size() == 1) {
+    // One writing shard: its ordinary forced commit is the commit point.
     ARIESRH_RETURN_IF_ERROR(
         shards_[*route->shards.begin()]->txn_manager()->Commit(txn));
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
-  } else {
+  } else if (route->shards.size() > 1) {
     const std::vector<size_t> parts(route->shards.begin(),
                                     route->shards.end());
     ARIESRH_RETURN_IF_ERROR(TwoPhaseCommit(txn, parts));
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
   }
+  // No writing shard at all: no coordinator record, no force anywhere.
+  route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
   {
     std::lock_guard deps_lock(deps_mu_);
     deps_.RemoveTxn(txn);

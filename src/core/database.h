@@ -136,12 +136,15 @@ class Database {
   Result<Lsn> Savepoint(TxnId txn);
   Status RollbackTo(TxnId txn, Lsn savepoint);
 
-  /// Commits. A transaction that touched one shard commits with that
-  /// shard's ordinary commit; a multi-shard transaction runs two-phase
-  /// commit: every shard force-logs a csn-stamped PREPARE, the coordinator
-  /// forces its COMMIT (the commit point), then the shards write their
-  /// COMMIT/END records lazily — a crash in between is resolved in-doubt
-  /// from the coordinator log at restart.
+  /// Commits. Each shard where the transaction logged nothing votes
+  /// read-only first: it commits there with no record and no force and
+  /// leaves the transaction's route. A transaction left with one writing
+  /// shard commits with that shard's ordinary commit; one with several runs
+  /// two-phase commit: every shard force-logs a csn-stamped PREPARE, the
+  /// coordinator forces its COMMIT (the commit point), then the shards
+  /// write their COMMIT/END records lazily — a crash in between is resolved
+  /// in-doubt from the coordinator log at restart. One with none writes no
+  /// coordinator record.
   Status Commit(TxnId txn);
   Status Abort(TxnId txn);
 

@@ -207,11 +207,10 @@ Status EngineShard::Checkpoint() {
   // already appended is left out even while its commit force is in flight:
   // analysis starts at CKPT_BEGIN and might never see that COMMIT, and the
   // CKPT_END force below makes it durable before the master record moves.
+  // A transaction without a BEGIN has logged nothing for recovery to know
+  // of; if it logs later, its BEGIN lands in the window analysis re-scans.
   for (const auto& [id, tx] : txn_manager_->SnapshotTransactions()) {
-    if (tx.state != TxnState::kActive && tx.state != TxnState::kPrepared) {
-      continue;
-    }
-    if (tx.commit_lsn != kInvalidLsn) continue;
+    if (tx.first_lsn == kInvalidLsn || tx.commit_lsn != kInvalidLsn) continue;
     CheckpointData::TxnSnapshot snap;
     snap.id = id;
     snap.first_lsn = tx.first_lsn;
@@ -341,10 +340,7 @@ Result<uint64_t> EngineShard::ArchiveLog(Lsn retain_from) {
   // mid-transfer can hide a scope from this bound.
   Lsn safe = std::min(master, ckpt.RedoStart(master));
   for (const auto& [id, tx] : txn_manager_->SnapshotTransactions()) {
-    if (tx.state != TxnState::kActive && tx.state != TxnState::kPrepared) {
-      continue;
-    }
-    safe = std::min(safe, tx.first_lsn);
+    safe = std::min(safe, tx.first_lsn);  // kInvalidLsn (no BEGIN) is max
     for (const auto& [ob, entry] : tx.ob_list) {
       for (const Scope& scope : entry.scopes) {
         safe = std::min(safe, scope.first);

@@ -55,7 +55,8 @@ struct Transaction {
   TxnId id = kInvalidTxn;
   std::atomic<TxnState> state{TxnState::kActive};
 
-  /// LSN of the BEGIN record.
+  /// LSN of the BEGIN record; kInvalidLsn until the transaction logs its
+  /// first record (the BEGIN is appended lazily, just before it).
   Lsn first_lsn = kInvalidLsn;
   /// Head of the backward chain: the most recent record written on behalf
   /// of this transaction (paper: Tr_List(t) contains the head of BC(t)).

@@ -55,7 +55,6 @@ Result<TxnId> TxnManager::Begin() {
   const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   Transaction tx;
   tx.id = id;
-  tx.first_lsn = tx.last_lsn = log_->Append(LogRecord::MakeBegin(id));
   {
     std::unique_lock table_lock(table_mu_);
     txns_.emplace(id, std::move(tx));
@@ -81,7 +80,6 @@ Result<TxnId> TxnManager::BeginWithId(TxnId id) {
   }
   Transaction tx;
   tx.id = id;
-  tx.first_lsn = tx.last_lsn = log_->Append(LogRecord::MakeBegin(id));
   {
     std::unique_lock table_lock(table_mu_);
     txns_.emplace(id, std::move(tx));
@@ -126,6 +124,20 @@ const Transaction* TxnManager::Find(TxnId txn) const {
   std::shared_lock table_lock(table_mu_);
   auto it = txns_.find(txn);
   return it == txns_.end() ? nullptr : &it->second;
+}
+
+bool TxnManager::HasLogged(TxnId txn) const {
+  const Transaction* tx = Find(txn);
+  if (tx == nullptr) return false;
+  std::lock_guard latch(tx->latch);
+  return tx->first_lsn != kInvalidLsn;
+}
+
+Lsn TxnManager::ChainHead(Transaction* tx) {
+  if (tx->first_lsn == kInvalidLsn) {
+    tx->first_lsn = tx->last_lsn = log_->Append(LogRecord::MakeBegin(tx->id));
+  }
+  return tx->last_lsn;
 }
 
 std::vector<ObjectId> TxnManager::ObjectsOf(TxnId txn) const {
@@ -179,7 +191,7 @@ Status TxnManager::DoUpdate(TxnId txn, ObjectId ob, UpdateKind kind,
     // evicted between the read and the write.
     const int64_t before = page->Get(slot);
     lsn = log_->Append(
-        LogRecord::MakeUpdate(txn, tx->last_lsn, ob, kind, before, after));
+        LogRecord::MakeUpdate(txn, ChainHead(tx), ob, kind, before, after));
     if (kind == UpdateKind::kSet) {
       page->Set(slot, after);
     } else {
@@ -295,12 +307,12 @@ Status TxnManager::TablePut(TxnId txn, const std::string& key,
           table::RecordMutation* mut) -> Result<Lsn> {
         mut->op = table::RecordOp::kUpsert;
         mut->value = value;
+        const Lsn prev = ChainHead(tx);
         return log_->Append(
             current.has_value()
-                ? LogRecord::MakeTableUpdate(txn, tx->last_lsn, rid, key,
-                                             *current, value)
-                : LogRecord::MakeTableInsert(txn, tx->last_lsn, rid, key,
-                                             value));
+                ? LogRecord::MakeTableUpdate(txn, prev, rid, key, *current,
+                                             value)
+                : LogRecord::MakeTableInsert(txn, prev, rid, key, value));
       },
       key));
   ++stats_->table_ops;
@@ -319,7 +331,7 @@ Status TxnManager::TableDelete(TxnId txn, const std::string& key) {
           return Status::NotFound("no record under key \"" + key + "\"");
         }
         mut->op = table::RecordOp::kRemove;
-        return log_->Append(LogRecord::MakeTableDelete(txn, tx->last_lsn, rid,
+        return log_->Append(LogRecord::MakeTableDelete(txn, ChainHead(tx), rid,
                                                        key, *current));
       },
       key));
@@ -430,8 +442,8 @@ Status TxnManager::Delegate(TxnId from, TxnId to,
   if (options_.delegation_mode == DelegationMode::kEager) {
     // Figure 1 applied eagerly: physically rewrite the log now. No DELEGATE
     // record is written — the rewrite *is* the delegation.
-    std::unordered_map<TxnId, Lsn> heads = {{from, tor->last_lsn},
-                                            {to, tee->last_lsn}};
+    std::unordered_map<TxnId, Lsn> heads = {{from, ChainHead(tor)},
+                                            {to, ChainHead(tee)}};
     std::set<ObjectId> ob_set(objects.begin(), objects.end());
     ARIESRH_RETURN_IF_ERROR(
         RewriteHistory(log_, stats_, from, to, ob_set, &heads));
@@ -441,7 +453,7 @@ Status TxnManager::Delegate(TxnId from, TxnId to,
     // PREPARE + WRITE DELEGATION LOG RECORD (steps 2 and 4): the record
     // links into both backward chains and becomes the head of each.
     const Lsn lsn = log_->Append(LogRecord::MakeDelegate(
-        from, to, tor->last_lsn, tee->last_lsn, objects));
+        from, to, ChainHead(tor), ChainHead(tee), objects));
     tor->last_lsn = lsn;
     tee->last_lsn = lsn;
     ++stats_->delegations;
@@ -516,7 +528,7 @@ Status TxnManager::DelegateOperations(TxnId from, TxnId to, ObjectId ob,
   }
 
   const Lsn lsn = log_->Append(LogRecord::MakeDelegateRange(
-      from, to, tor->last_lsn, tee->last_lsn, ob, first, last));
+      from, to, ChainHead(tor), ChainHead(tee), ob, first, last));
   tor->last_lsn = lsn;
   tee->last_lsn = lsn;
   ++stats_->delegations;
@@ -585,7 +597,7 @@ Status TxnManager::FormDependency(DependencyType type, TxnId dependent,
 Result<Lsn> TxnManager::Savepoint(TxnId txn) {
   ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
   std::lock_guard latch(tx->latch);
-  return tx->last_lsn;
+  return ChainHead(tx);
 }
 
 Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
@@ -666,6 +678,10 @@ Status TxnManager::Commit(TxnId txn) {
     std::lock_guard deps_lock(deps_mu_);
     prerequisites = deps_.CommitPrerequisites(txn);
   }
+  // The latest COMMIT of an early-released writer this transaction read
+  // from, and that writer.
+  Lsn read_from = 0;
+  TxnId read_from_txn = kInvalidTxn;
   for (const DependencyGraph::Prerequisite& p : prerequisites) {
     const Transaction* target = Find(p.on);
     const TxnState on_state =
@@ -686,6 +702,10 @@ Status TxnManager::Commit(TxnId txn) {
                                " lost its commit record before it became "
                                "durable");
       }
+      if (p.commit_lsn != kInvalidLsn && p.commit_lsn > read_from) {
+        read_from = p.commit_lsn;
+        read_from_txn = p.on;
+      }
       continue;
     }
     if (on_state == TxnState::kActive) {
@@ -703,9 +723,11 @@ Status TxnManager::Commit(TxnId txn) {
 
   // COMMIT OPERATIONS / WRITE COMMIT RECORD / FLUSH LOG (Section 3.5).
   // With neither forcing nor group commit the flush is deferred entirely:
-  // the record rides out with the next forced flush.
+  // the record rides out with the next forced flush. A transaction that
+  // logged nothing has nothing to make durable and appends nothing.
   obs::ScopedLatencyTimer timer(commit_ns_);
   Lsn commit_lsn = kInvalidLsn;
+  bool read_only = false;
   {
     std::lock_guard latch(tx->latch);
     if (tx->terminating) {
@@ -713,53 +735,59 @@ Status TxnManager::Commit(TxnId txn) {
                                   " is committing or aborting");
     }
     tx->terminating = true;  // from here no delegation may touch the chain
-    commit_lsn = log_->Append(LogRecord::MakeCommit(txn, tx->last_lsn));
-    tx->last_lsn = commit_lsn;
-    tx->commit_lsn = commit_lsn;
+    read_only = tx->first_lsn == kInvalidLsn;
+    if (!read_only) {
+      commit_lsn = log_->Append(LogRecord::MakeCommit(txn, tx->last_lsn));
+      tx->last_lsn = commit_lsn;
+      tx->commit_lsn = commit_lsn;
+    }
   }
   // Early lock release: the COMMIT record is appended, so this
   // transaction's fate is sealed in the log order — any acquirer of these
   // locks logs (and therefore commits) strictly after us. Release before
   // the force so the locks are free for the full duration of the
   // durability wait; acquirers pick up kCommitDurable edges.
-  if (options_.early_lock_release) {
+  if (!read_only && options_.early_lock_release) {
     locks_->MarkEarlyReleased(txn, commit_lsn);
   }
-  // The durability wait happens OUTSIDE the latch: under group commit this
+  // What must be durable before this commit reports: its own COMMIT, or,
+  // for a transaction that logged nothing, the COMMIT it read from. The
+  // durability wait happens OUTSIDE the latch: under group commit this
   // parks until the flusher's batched force covers the record, and nothing
   // about this transaction may block checkpoints or other sessions
   // meanwhile (`terminating` already fences delegation).
-  Status durable = Status::OK();
-  if (options_.group_commit) {
-    durable = log_->FlushWait(commit_lsn);
-  } else if (options_.force_commits) {
-    durable = log_->Flush(commit_lsn);
-  }
-  if (durable.ok() && options_.early_lock_release) {
-    // Defensive re-check: every kCommitDurable prerequisite's COMMIT record
-    // must be durable by now. Our own force covers any LSN below ours in
-    // this log, so this only fails if the tail was discarded between the
-    // prerequisite scan and our append — the crash path.
-    for (const DependencyGraph::Prerequisite& p : prerequisites) {
-      if (p.type != DependencyType::kCommitDurable) continue;
-      if (p.commit_lsn != kInvalidLsn && p.commit_lsn > log_->flushed_lsn()) {
-        durable = Status::IllegalState(
-            "commit dependency " + std::to_string(p.on) +
-            "'s commit record was lost to a tail discard");
-        break;
-      }
+  Lsn durable_lsn = kInvalidLsn;
+  if (!read_only) {
+    if (options_.group_commit || options_.force_commits) {
+      durable_lsn = commit_lsn;
     }
+  } else if (read_from > log_->flushed_lsn()) {
+    durable_lsn = read_from;
+  }
+  Status durable = Status::OK();
+  if (durable_lsn != kInvalidLsn) {
+    durable = options_.group_commit ? log_->FlushWait(durable_lsn)
+                                    : log_->Flush(durable_lsn);
+  }
+  // Defensive re-check: the COMMIT this transaction read from must be
+  // durable by now. A writer's own force covers any LSN below its COMMIT in
+  // this log, so this only fails if the tail was discarded between the
+  // prerequisite scan and the wait — the crash path.
+  if (durable.ok() && read_from > log_->flushed_lsn()) {
+    durable = Status::IllegalState(
+        "commit dependency " + std::to_string(read_from_txn) +
+        "'s commit record was lost to a tail discard");
   }
   if (!durable.ok()) {
     if (options_.early_lock_release) {
-      // The locks are already released and others may have built on them:
-      // abort here and cascade (volatile only — the log is in its crash
-      // state).
+      // The locks are already released and others may have built on them
+      // (a reader's are not, but what it read is lost): abort here and
+      // cascade (volatile only — the log is in its crash state).
       return FailEarlyReleasedCommit(tx, durable);
     }
     return durable;
   }
-  if (commit_latency_ns_ != nullptr) {
+  if (commit_latency_ns_ != nullptr && !read_only) {
     commit_latency_ns_->Observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - commit_requested)
@@ -767,7 +795,9 @@ Status TxnManager::Commit(TxnId txn) {
   }
   {
     std::lock_guard latch(tx->latch);
-    tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
+    if (!read_only) {
+      tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
+    }
     tx->state = TxnState::kCommitted;
     tx->ob_list.clear();
   }
@@ -829,10 +859,13 @@ Status TxnManager::Abort(TxnId txn) {
     }
     tx->terminating = true;
     // ABORT record marks rollback-in-progress, then undo, then END — all
-    // under the latch: the chain head and scopes are in flux throughout.
-    tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
-    ARIESRH_RETURN_IF_ERROR(RollBack(tx));
-    tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
+    // under the latch: the chain head and scopes are in flux throughout. A
+    // transaction that logged nothing has nothing to mark or undo.
+    if (tx->first_lsn != kInvalidLsn) {
+      tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
+      ARIESRH_RETURN_IF_ERROR(RollBack(tx));
+      tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
+    }
     tx->state = TxnState::kAborted;
     tx->ob_list.clear();
   }
@@ -869,7 +902,8 @@ Status TxnManager::Prepare(TxnId txn, uint64_t csn) {
       return Status::IllegalState("transaction " + std::to_string(txn) +
                                   " is committing or aborting");
     }
-    prepare_lsn = log_->Append(LogRecord::MakePrepare(txn, tx->last_lsn, csn));
+    prepare_lsn =
+        log_->Append(LogRecord::MakePrepare(txn, ChainHead(tx), csn));
     tx->last_lsn = prepare_lsn;
     tx->prepared_csn = csn;
     tx->state = TxnState::kPrepared;
@@ -973,8 +1007,8 @@ Status TxnManager::ApplyCrossShardDelegation(
     uint64_t csn) {
   Transaction* tor = guard.tor_;
   Transaction* tee = guard.tee_;
-  LogRecord rec = LogRecord::MakeDelegate(tor->id, tee->id, tor->last_lsn,
-                                          tee->last_lsn, objects);
+  LogRecord rec = LogRecord::MakeDelegate(tor->id, tee->id, ChainHead(tor),
+                                          ChainHead(tee), objects);
   rec.csn = csn;
   const Lsn lsn = log_->Append(std::move(rec));
   tor->last_lsn = lsn;
@@ -1063,6 +1097,8 @@ std::map<TxnId, Transaction> TxnManager::SnapshotTransactions() const {
   std::shared_lock table_lock(table_mu_);
   for (const auto& [id, tx] : txns_) {
     std::lock_guard latch(tx.latch);
+    const TxnState state = tx.state;
+    if (state != TxnState::kActive && state != TxnState::kPrepared) continue;
     snapshot.emplace(id, tx);  // Transaction's copy is a plain field copy
   }
   return snapshot;

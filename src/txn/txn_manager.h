@@ -8,6 +8,7 @@
 //                (move scopes between Ob_Lists) / WRITE DELEGATION RECORD
 //                (which becomes the head of both backward chains)
 //   commit    -> commit record, force the log (NO-FORCE for pages)
+//                — unless the transaction logged nothing (see below)
 //   abort     -> undo exactly the updates in the transaction's scopes by a
 //                backward cluster sweep, writing CLRs
 //
@@ -15,6 +16,15 @@
 // abort uses conventional backward-chain undo — the engine is then plain
 // ARIES, which is what makes the paper's "no delegation, no overhead" claim
 // honestly measurable.
+//
+// A transaction's BEGIN is appended lazily, just before its first own log
+// record (an update, a table write, either side of a DELEGATE, a PREPARE, or
+// a savepoint). A transaction that never logs — a reader — leaves no trace in
+// the log: its commit appends nothing and forces nothing (it only waits for
+// the COMMIT of any early-released writer it read from to be durable), its
+// abort has nothing to undo, and checkpoints and restart never see it. This
+// is the read-only optimization of presumed-abort R* (Mohan, Lindsay &
+// Obermarck, TODS 1986).
 //
 // Thread safety: safe under concurrent callers, with the session contract a
 // real engine's connection layer provides — all calls on behalf of ONE
@@ -76,7 +86,8 @@ class TxnManager {
              LockManager* locks, Stats* stats,
              table::TableHeap* heap = nullptr);
 
-  /// Starts a transaction (ASSET initiate+begin): writes a BEGIN record.
+  /// Starts a transaction (ASSET initiate+begin). Its BEGIN record is
+  /// appended only with its first own log record (see the file comment).
   Result<TxnId> Begin();
 
   /// Starts a transaction under an externally-allocated id (the sharded
@@ -159,8 +170,9 @@ class TxnManager {
   /// ASSET form-dependency.
   Status FormDependency(DependencyType type, TxnId dependent, TxnId on);
 
-  /// Establishes a savepoint: a token for RollbackTo. Cheap (no log
-  /// record); the token is the transaction's current chain head.
+  /// Establishes a savepoint: a token for RollbackTo. Cheap (no log record
+  /// beyond the transaction's deferred BEGIN, which the token needs); the
+  /// token is the transaction's current chain head.
   Result<Lsn> Savepoint(TxnId txn);
 
   /// Partial rollback (ARIES-style): undoes every update logged after the
@@ -194,11 +206,17 @@ class TxnManager {
   /// while others may already have built on the released locks: the
   /// transaction is marked aborted in volatile state and every dependent
   /// cascade-aborts.
+  ///
+  /// A transaction that logged nothing on this shard commits read-only:
+  /// no COMMIT or END record and no force. Before its locks go, it waits
+  /// until the COMMIT of every early-released writer it read from is
+  /// durable; if one is lost, it fails like an early-released commit.
   Status Commit(TxnId txn);
 
   /// Aborts: rolls back every update the transaction is responsible for
   /// (scope sweep under RH, chain undo otherwise), writes CLRs, ABORT and
-  /// END records, releases locks, then cascades to abort-dependents.
+  /// END records, releases locks, then cascades to abort-dependents. A
+  /// transaction that logged nothing writes no records.
   Status Abort(TxnId txn);
 
   // --- Two-phase commit participant role (sharded engines only) ---
@@ -271,6 +289,11 @@ class TxnManager {
   /// stays valid until ReapTerminated (std::map node stability).
   const Transaction* Find(TxnId txn) const;
 
+  /// True once `txn` has a BEGIN record on this shard, i.e. it logged
+  /// something here (latched read; false when it does not exist). The
+  /// sharded facade uses it to tell read-only 2PC participants apart.
+  bool HasLogged(TxnId txn) const;
+
   /// The objects currently in `txn`'s Ob_List (latched read; empty when the
   /// transaction does not exist on this shard). The sharded facade uses
   /// this to expand an all-objects delegation into per-shard object lists.
@@ -285,10 +308,13 @@ class TxnManager {
   /// SnapshotTransactions under concurrency).
   const std::map<TxnId, Transaction>& transactions() const { return txns_; }
 
-  /// Consistent copy of the transaction table, each control block copied
-  /// under its latch — what checkpoints and log archiving iterate while
-  /// workers keep running. Holds the checkpoint fence exclusively for the
-  /// whole copy, so every delegation (a two-party scope move) lands either
+  /// Consistent copy of the live (kActive or kPrepared) part of the
+  /// transaction table, each control block filtered and copied under its
+  /// latch — what checkpoints and log archiving iterate while workers keep
+  /// running. Terminated transactions stay in the table (until
+  /// ReapTerminated) but are never copied. Holds the checkpoint fence
+  /// exclusively for the whole copy, so every delegation (a two-party scope
+  /// move) lands either
   /// entirely before or entirely after the snapshot — the snapshot can
   /// never observe a scope in neither party's Ob_List, or in one party but
   /// not yet out of the other's.
@@ -312,6 +338,10 @@ class TxnManager {
     return options_.delegation_mode != DelegationMode::kDisabled;
   }
   Result<Transaction*> FindActive(TxnId txn);
+  /// The backward-chain head a new record of `tx` links to. Appends the
+  /// transaction's deferred BEGIN first when it has none yet. Caller holds
+  /// tx->latch.
+  Lsn ChainHead(Transaction* tx);
   Result<Transaction*> FindPrepared(TxnId txn);
   /// The lock acquisition every data path uses. Under early_lock_release it
   /// collects the early-released holders the grant violated and registers a

@@ -126,6 +126,8 @@ class OpenHashMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (live entries, tombstones and empty slots).
+  size_t capacity() const { return slots_.size(); }
 
   void clear() {
     slots_.clear();
@@ -220,15 +222,20 @@ class OpenHashMap {
   }
 
   void MaybeGrow() {
-    // Grow at 50% occupancy (counting tombstones) so probe chains stay
-    // short; rehashing drops the tombstones.
+    // Rehash at 50% occupancy (counting tombstones) so probe chains stay
+    // short; rehashing drops the tombstones. The table doubles only when
+    // live entries fill a quarter of it: under insert/erase churn with few
+    // live keys (ever-increasing TxnIds) it is rebuilt at the same size
+    // rather than grown without bound.
     if (slots_.empty()) {
       slots_.resize(16);
       return;
     }
     if (used_ * 2 < slots_.size()) return;
+    const size_t capacity =
+        size_ * 4 < slots_.size() ? slots_.size() : slots_.size() * 2;
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     size_ = 0;
     used_ = 0;
     for (Slot& slot : old) {

@@ -80,9 +80,11 @@ void StepScheduler::WorkerLoop(size_t worker_index) {
 
     // Drive this one program to completion. Unlike the serial mode there
     // is no other program to interleave on kBusy — the *other workers* are
-    // the concurrency — so a busy step just yields and retries.
+    // the concurrency — so a busy step, or a program just restarted, yields
+    // to the lock holder before it retries.
     while (!state.done && !stop_.load(std::memory_order_relaxed)) {
       const int busy_before = state.busy_streak;
+      const int restarts_before = state.restarts;
       const Status status = StepProgram(&state);
       if (!status.ok()) {
         std::lock_guard lock(error_mu_);
@@ -90,7 +92,9 @@ void StepScheduler::WorkerLoop(size_t worker_index) {
         stop_.store(true, std::memory_order_relaxed);
         return;
       }
-      if (state.busy_streak > busy_before) std::this_thread::yield();
+      if (state.busy_streak > busy_before || state.restarts > restarts_before) {
+        std::this_thread::yield();
+      }
     }
   }
 }

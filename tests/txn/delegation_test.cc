@@ -244,14 +244,17 @@ TEST_F(DelegationTest, DelegateRecordLinksBothChains) {
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 5, 1).ok());
   const Lsn t1_head = db_.txn_manager()->Find(t1)->last_lsn;
-  const Lsn t2_head = db_.txn_manager()->Find(t2)->last_lsn;
+  // t2 has logged nothing yet: its BEGIN is deferred to the DELEGATE.
+  EXPECT_EQ(db_.txn_manager()->Find(t2)->last_lsn, kInvalidLsn);
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
   const Lsn d = db_.txn_manager()->Find(t1)->last_lsn;
   EXPECT_EQ(d, db_.txn_manager()->Find(t2)->last_lsn);
   LogRecord rec = *db_.log_manager()->Read(d);
   EXPECT_EQ(rec.type, LogRecordType::kDelegate);
   EXPECT_EQ(rec.tor_bc, t1_head);
-  EXPECT_EQ(rec.tee_bc, t2_head);
+  LogRecord tee_begin = *db_.log_manager()->Read(rec.tee_bc);
+  EXPECT_EQ(tee_begin.type, LogRecordType::kBegin);
+  EXPECT_EQ(tee_begin.txn_id, t2);
 }
 
 }  // namespace

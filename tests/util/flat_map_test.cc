@@ -213,5 +213,29 @@ TEST(OpenHashMapTest, MatchesStdMapUnderRandomChurn) {
   EXPECT_EQ(open.size(), reference.size());
 }
 
+TEST(OpenHashMapTest, InsertEraseChurnKeepsCapacityBounded) {
+  // The lock manager's held index is keyed by ever-increasing TxnIds: each
+  // key is inserted once and erased once. Tombstones must be recycled by a
+  // same-size rehash, not by doubling the table.
+  OHM map;
+  for (uint64_t key = 0; key < 200000; ++key) {
+    map[key] = 1;
+    if (key >= 4) {
+      ASSERT_TRUE(map.Erase(key - 4));
+    }
+  }
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_LE(map.capacity(), 64u);
+  for (uint64_t key = 199996; key < 200000; ++key) {
+    EXPECT_NE(map.Find(key), nullptr) << key;
+  }
+  EXPECT_EQ(map.Find(199995), nullptr);
+
+  // Live entries still grow it: 1000 of them need more than 2000 slots.
+  for (uint64_t key = 0; key < 1000; ++key) map[key] = 2;
+  EXPECT_GE(map.capacity(), 2048u);
+  EXPECT_EQ(map.size(), 1004u);
+}
+
 }  // namespace
 }  // namespace ariesrh
